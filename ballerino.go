@@ -387,27 +387,6 @@ func kernelNames(extra bool) []string {
 	return names
 }
 
-// Workloads lists the standard synthetic kernel suite (the set every
-// figure-level experiment averages over).
-//
-// Deprecated: Kernels is the one catalogue entry point; filter on
-// Kernel.Extra == false for the standard suite. Workloads remains as a
-// thin alias.
-func Workloads() []string {
-	return kernelNames(false)
-}
-
-// ExtraWorkloads lists additional kernels runnable by name but excluded
-// from the calibrated figure suite (tree search, sorting passes, FFT
-// butterflies).
-//
-// Deprecated: Kernels is the one catalogue entry point; filter on
-// Kernel.Extra == true for the extras. ExtraWorkloads remains as a thin
-// alias.
-func ExtraWorkloads() []string {
-	return kernelNames(true)
-}
-
 // Run executes one simulation. Every failure is a *SimError; no panic
 // escapes (a recovered panic surfaces as a *SimError with Stage
 // "internal").

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // normalizeManifest zeroes the wall-time identity fields — the only
@@ -163,26 +164,22 @@ func TestPrepareTraceInjection(t *testing.T) {
 	}
 }
 
-// TestKernels: the catalogue matches the two name lists, carries the
-// Extra tag, and repeated calls do not share backing storage.
+// TestKernels: the catalogue lists the standard suite first, then the
+// extras, each kernel with its metadata and Extra tag matching the
+// workload package, and repeated calls do not share backing storage.
 func TestKernels(t *testing.T) {
 	ks := Kernels()
-	var std, extra int
-	for _, k := range ks {
+	std := len(workload.All(listParams))
+	if want := std + len(workload.Extras(listParams)); len(ks) != want {
+		t.Fatalf("Kernels() has %d entries, workload catalogue has %d", len(ks), want)
+	}
+	for i, k := range ks {
 		if k.Name == "" || k.Kind == "" || k.Emulate == "" {
 			t.Errorf("kernel %+v has empty metadata", k)
 		}
-		if k.Extra {
-			extra++
-		} else {
-			std++
+		if k.Extra != (i >= std) {
+			t.Errorf("kernel %d (%s) Extra = %v, want standard suite first, then extras", i, k.Name, k.Extra)
 		}
-	}
-	if wls := Workloads(); len(wls) != std {
-		t.Errorf("Workloads() has %d names, catalogue has %d standard kernels", len(wls), std)
-	}
-	if ex := ExtraWorkloads(); len(ex) != extra {
-		t.Errorf("ExtraWorkloads() has %d names, catalogue has %d extras", len(ex), extra)
 	}
 	ks[0].Name = "mutated"
 	if Kernels()[0].Name == "mutated" {

@@ -88,14 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logFormat  = fs.String("log-format", "text", "structured log format on stderr: text or json")
 		maxTraces  = fs.Int("max-traces", 0, "lifecycle span trees retained for /jobs/{id}/spans (0 = 1024, negative = tracing off)")
 	)
-	fs.Int("queue", 0, "deprecated alias for -max-queue")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *maxQueue == 0 {
-		if q := fs.Lookup("queue").Value.(flag.Getter).Get().(int); q != 0 {
-			*maxQueue = q
-		}
 	}
 
 	var handler slog.Handler

@@ -8,7 +8,8 @@
 // e executing, C complete.
 //
 // The window is assembled from the internal/obs event bus (an in-memory
-// sink over decode/dispatch/issue/exec/commit events), so the rendering
+// sink over decode/dispatch/issue/exec/commit events) by obs.Assembler,
+// the same assembler behind ballsim's Chrome trace, so the rendering
 // consumes exactly what external trace files contain.
 package main
 
@@ -106,7 +107,7 @@ func main() {
 }
 
 // lane renders one μop's post-dispatch lifetime as a character row.
-func lane(u trace.UOp, base uint64) string {
+func lane(u obs.Timeline, base uint64) string {
 	rel := func(c uint64) int {
 		if c < base {
 			return 0

@@ -90,7 +90,7 @@ type Ballerino struct {
 	rn  *rename.Renamer
 	mdp *mdp.MDP
 
-	siq  sched.Ring
+	siq  container.Ring[*sched.UOp]
 	piqs []piq
 
 	events sched.EnergyEvents

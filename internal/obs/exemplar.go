@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"math"
 	"sort"
 	"sync"
 )
@@ -11,14 +8,17 @@ import (
 // ExemplarHist is a thread-safe latency histogram with float64 bucket
 // bounds and per-bucket exemplars, built for the serving stack's
 // lifecycle metrics (queue wait, service time, fsync, end-to-end). It
-// differs from the registry Histogram in two ways: it is written from
-// many goroutines (HTTP handlers, queue workers, the WAL observer), and
-// each bucket remembers the last observation that landed in it together
-// with an exemplar label — in practice the job's trace ID — so a
-// tail-latency bucket on /metrics links straight to the offending job's
-// span tree. Rendering follows the OpenMetrics exemplar syntax
-// (`# {trace_id="..."} value`), which Prometheus parses when exemplar
-// storage is enabled and plain-text scrapers can strip as a comment.
+// stays a separate type from the registry Histogram, which holds uint64
+// cycle samples written lock-free on the simulation goroutine and
+// encoded as uint64 in the manifest: this one holds float64 seconds, is
+// written from many goroutines (HTTP handlers, queue workers, the WAL
+// observer), and each bucket remembers the last observation that landed
+// in it together with an exemplar label — in practice the job's trace
+// ID — so a tail-latency bucket on /metrics links straight to the
+// offending job's span tree. Exposition.ExemplarHists renders it in the
+// OpenMetrics exemplar syntax (`# {trace_id="..."} value`), which
+// Prometheus parses when exemplar storage is enabled and plain-text
+// scrapers can strip as a comment.
 type ExemplarHist struct {
 	name   string
 	help   string
@@ -28,13 +28,7 @@ type ExemplarHist struct {
 	counts    []uint64 // len(bounds)+1, last = overflow (+Inf)
 	sum       float64
 	n         uint64
-	exemplars []exemplar // len(bounds)+1, zero Value treated via ok flag
-}
-
-type exemplar struct {
-	ok      bool
-	labelID string
-	value   float64
+	exemplars []exemplar // len(bounds)+1; zero until a bucket gets one
 }
 
 // NewExemplarHist builds a histogram with the given ascending inclusive
@@ -64,7 +58,7 @@ func (h *ExemplarHist) Observe(v float64, exemplarID string) {
 	h.sum += v
 	h.n++
 	if exemplarID != "" {
-		h.exemplars[i] = exemplar{ok: true, labelID: exemplarID, value: v}
+		h.exemplars[i] = exemplar{labelID: exemplarID, value: v}
 	}
 	h.mu.Unlock()
 }
@@ -86,7 +80,6 @@ type exemplarHistDump struct {
 	bounds    []float64
 	counts    []uint64
 	sum       float64
-	n         uint64
 	exemplars []exemplar
 }
 
@@ -99,62 +92,6 @@ func (h *ExemplarHist) dump() exemplarHistDump {
 		bounds:    h.bounds,
 		counts:    append([]uint64(nil), h.counts...),
 		sum:       h.sum,
-		n:         h.n,
 		exemplars: append([]exemplar(nil), h.exemplars...),
 	}
-}
-
-// promBound renders a float bucket bound; +Inf renders as "+Inf".
-func promBound(v float64) string {
-	if math.IsInf(v, +1) {
-		return "+Inf"
-	}
-	return promFloat(v)
-}
-
-// WritePromExemplarHists renders the histograms in the Prometheus text
-// format with OpenMetrics-style exemplars: each `_bucket` line that has
-// an exemplar is suffixed with ` # {trace_id="..."} <value>`. Histograms
-// are rendered sorted by name; nil entries are skipped. labels, when
-// non-nil, are attached to every sample (matching WritePrometheus).
-func WritePromExemplarHists(w io.Writer, hists []*ExemplarHist, labels PromLabels) error {
-	dumps := make([]exemplarHistDump, 0, len(hists))
-	for _, h := range hists {
-		if h != nil {
-			dumps = append(dumps, h.dump())
-		}
-	}
-	sort.Slice(dumps, func(i, j int) bool { return dumps[i].name < dumps[j].name })
-	lbl := renderLabels(labels, "")
-	for _, d := range dumps {
-		mn := promName(d.name)
-		help := d.help
-		if help == "" {
-			help = "Histogram " + d.name + "."
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", mn, help, mn); err != nil {
-			return err
-		}
-		var cum uint64
-		for i := 0; i <= len(d.bounds); i++ {
-			cum += d.counts[i]
-			bound := math.Inf(+1)
-			if i < len(d.bounds) {
-				bound = d.bounds[i]
-			}
-			le := renderLabels(labels, `le="`+promBound(bound)+`"`)
-			line := fmt.Sprintf("%s_bucket%s %d", mn, le, cum)
-			if ex := d.exemplars[i]; ex.ok {
-				line += fmt.Sprintf(` # {trace_id="%s"} %s`, promEscape(ex.labelID), promFloat(ex.value))
-			}
-			if _, err := fmt.Fprintln(w, line); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-			mn, lbl, promFloat(d.sum), mn, lbl, d.n); err != nil {
-			return err
-		}
-	}
-	return nil
 }

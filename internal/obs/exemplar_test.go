@@ -29,11 +29,7 @@ func exemplarTestHists() []*ExemplarHist {
 }
 
 func TestExemplarHistGolden(t *testing.T) {
-	var b strings.Builder
-	if err := WritePromExemplarHists(&b, exemplarTestHists(), PromLabels{"arch": "Ballerino"}); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
+	got := expose(t, func(x *Exposition) { x.ExemplarHists(exemplarTestHists(), PromLabels{"arch": "Ballerino"}) })
 
 	golden := filepath.Join("testdata", "exemplar.golden")
 	if *updateGolden {
@@ -69,11 +65,7 @@ func stripExemplars(text string) string {
 // themselves carry the expected trace IDs and values.
 func TestExemplarHistScansBack(t *testing.T) {
 	hists := exemplarTestHists()
-	var b strings.Builder
-	if err := WritePromExemplarHists(&b, hists, nil); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
+	text := expose(t, func(x *Exposition) { x.ExemplarHists(hists, nil) })
 	samples := scanProm(t, stripExemplars(text))
 
 	byName := map[string][]promSample{}
@@ -145,12 +137,8 @@ func TestExemplarHistNilSafe(t *testing.T) {
 	if h.Count() != 0 {
 		t.Error("nil hist has nonzero count")
 	}
-	var b strings.Builder
-	if err := WritePromExemplarHists(&b, []*ExemplarHist{nil, nil}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Errorf("nil hists rendered output: %q", b.String())
+	if out := expose(t, func(x *Exposition) { x.ExemplarHists([]*ExemplarHist{nil, nil}, nil) }); out != "" {
+		t.Errorf("nil hists rendered output: %q", out)
 	}
 }
 
@@ -164,10 +152,7 @@ func TestExemplarHistConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		var b strings.Builder
-		if err := WritePromExemplarHists(&b, []*ExemplarHist{h}, nil); err != nil {
-			t.Fatal(err)
-		}
+		expose(t, func(x *Exposition) { x.ExemplarHists([]*ExemplarHist{h}, nil) })
 	}
 	<-done
 	if h.Count() != 1000 {

@@ -28,20 +28,26 @@ func promTestDump() *MetricsDump {
 	return reg.Dump()
 }
 
-func TestPrometheusGolden(t *testing.T) {
+// expose renders the families add puts into a fresh Exposition.
+func expose(t *testing.T, add func(x *Exposition)) string {
+	t.Helper()
+	var x Exposition
+	add(&x)
 	var b strings.Builder
+	if _, err := x.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func TestPrometheusGolden(t *testing.T) {
 	labels := PromLabels{"workload": `ha"sh\join` + "\n2", "arch": "Ballerino"}
-	if err := WritePrometheus(&b, "ballerino_", promTestDump(), labels); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePromGauges(&b, []PromGauge{
-		{Name: "ballserved_job_ipc", Help: "Committed μops per cycle.", Labels: PromLabels{"job": "1"}, Value: 2.125},
-		{Name: "ballserved_job_ipc", Labels: PromLabels{"job": "2"}, Value: 0.5},
-		{Name: "ballserved_jobs_running", Value: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
+	got := expose(t, func(x *Exposition) {
+		x.Registry("ballerino_", promTestDump(), labels)
+		x.Gauge("ballserved_job_ipc", "Committed μops per cycle.", PromLabels{"job": "1"}, 2.125)
+		x.Gauge("ballserved_job_ipc", "", PromLabels{"job": "2"}, 0.5)
+		x.Gauge("ballserved_jobs_running", "", nil, 1)
+	})
 
 	golden := filepath.Join("testdata", "prometheus.golden")
 	if *updateGolden {
@@ -58,6 +64,29 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("exposition differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestExpositionFamilies: samples of one name join a single family under
+// one HELP/TYPE header wherever they are added, integer samples render as
+// integers, and the label escaper touches only what the text format
+// defines (a tab stays raw).
+func TestExpositionFamilies(t *testing.T) {
+	got := expose(t, func(x *Exposition) {
+		x.Gauge("cycles", "Cycles.", PromLabels{"job": "1"}, 12345678)
+		x.Counter("hits_total", "", nil, 1<<60)
+		x.Gauge("cycles", "ignored", PromLabels{"job": "2", "workload": "a\tb\"c\\d\ne"}, 0.5)
+	})
+	want := `# HELP cycles Cycles.
+# TYPE cycles gauge
+cycles{job="1"} 12345678
+cycles{job="2",workload="a` + "\t" + `b\"c\\d\ne"} 0.5
+# HELP hits_total Counter hits_total.
+# TYPE hits_total counter
+hits_total 1152921504606846976
+`
+	if got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -159,11 +188,7 @@ func parseLabels(t *testing.T, s string, into map[string]string) {
 func TestPrometheusScansBack(t *testing.T) {
 	dump := promTestDump()
 	wl := `ha"sh\join` + "\nx"
-	var b strings.Builder
-	if err := WritePrometheus(&b, "ballerino_", dump, PromLabels{"workload": wl}); err != nil {
-		t.Fatal(err)
-	}
-	samples := scanProm(t, b.String())
+	samples := scanProm(t, expose(t, func(x *Exposition) { x.Registry("ballerino_", dump, PromLabels{"workload": wl}) }))
 
 	byName := map[string][]promSample{}
 	for _, s := range samples {

@@ -25,35 +25,31 @@ type TraceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeFile is the top-level trace_event JSON object.
-type chromeFile struct {
-	TraceEvents     []TraceEvent   `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	Metadata        map[string]any `json:"metadata,omitempty"`
-}
-
-// uopSpan accumulates one μop's stage timestamps between decode and
-// commit/squash.
-type uopSpan struct {
-	label           string
-	dispatch, ready uint64
-	issue, done     uint64
-	port            int
-	haveDispatch    bool
-	haveIssue       bool
+// WriteTraceEvents writes events as one trace_event JSON object — the
+// container chrome://tracing and Perfetto load — with timestamps as
+// milliseconds for display and metadata as the file's metadata block.
+// It sorts events by timestamp (stably) first, so every track is
+// monotonic. ChromeSink and span trees both write through it.
+func WriteTraceEvents(w io.Writer, events []TraceEvent, metadata map[string]any) error {
+	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []TraceEvent   `json:"traceEvents"`
+		DisplayTimeUnit string         `json:"displayTimeUnit"`
+		Metadata        map[string]any `json:"metadata,omitempty"`
+	}{events, "ms", metadata})
 }
 
 // ChromeSink renders the event stream as a Chrome trace_event JSON file:
 // one complete ("X") slice per committed μop on its issue port's track,
 // instant events for flushes, and counter ("C") tracks fed by the interval
-// heartbeats. Events are buffered and written timestamp-sorted at Close,
-// so every track's timestamps are monotonic. Cycle numbers are reported as
-// microseconds (1 cycle = 1 µs) purely for viewer ergonomics.
+// heartbeats. The μop slices come from an Assembler; events are buffered
+// and written at Close. Cycle numbers are reported as microseconds
+// (1 cycle = 1 µs) purely for viewer ergonomics.
 type ChromeSink struct {
-	w        io.WriteCloser
-	events   []TraceEvent
-	inflight map[uint64]*uopSpan
-	closed   bool
+	w      io.WriteCloser
+	events []TraceEvent
+	uops   Assembler
+	closed bool
 }
 
 // Track layout of the generated trace.
@@ -74,63 +70,37 @@ func NewChromeSink(path string) (*ChromeSink, error) {
 
 // NewChromeSinkWriter writes a Chrome trace to w, closing it on Close.
 func NewChromeSinkWriter(w io.WriteCloser) *ChromeSink {
-	return &ChromeSink{w: w, inflight: make(map[uint64]*uopSpan)}
+	return &ChromeSink{w: w}
 }
 
 // Event implements Sink.
 func (c *ChromeSink) Event(e *Event) {
-	switch e.Kind {
-	case KindDecode:
-		c.inflight[e.Seq] = &uopSpan{label: e.Label}
-	case KindDispatch:
-		if sp := c.inflight[e.Seq]; sp != nil {
-			sp.dispatch, sp.port, sp.haveDispatch = e.Cycle, int(e.Port), true
-		}
-	case KindIssue:
-		if sp := c.inflight[e.Seq]; sp != nil {
-			sp.issue, sp.ready, sp.haveIssue = e.Cycle, e.Arg, true
-		}
-	case KindExec:
-		if sp := c.inflight[e.Seq]; sp != nil {
-			sp.done = e.Arg
-		}
-	case KindCommit:
-		sp := c.inflight[e.Seq]
-		if sp == nil || !sp.haveDispatch || !sp.haveIssue {
-			return
-		}
-		delete(c.inflight, e.Seq)
-		name := sp.label
-		if name == "" {
-			name = e.Op.String()
-		}
-		end := sp.done
-		if end < sp.issue {
-			end = sp.issue
-		}
-		dur := end - sp.dispatch
-		if dur == 0 {
-			dur = 1
-		}
-		c.events = append(c.events, TraceEvent{
-			Name: name, Cat: e.Cls.String(), Ph: "X",
-			TS: sp.dispatch, Dur: dur, PID: chromePID, TID: sp.port,
-			Args: map[string]any{
-				"seq":    e.Seq,
-				"ready":  sp.ready,
-				"issue":  sp.issue,
-				"commit": e.Cycle,
-			},
-		})
-	case KindFlush:
+	if e.Kind == KindFlush {
 		c.events = append(c.events, TraceEvent{
 			Name: "flush", Ph: "i", TS: e.Cycle, PID: chromePID,
 			TID: chromeTIDFlush, S: "g",
 			Args: map[string]any{"bound": e.Seq},
 		})
-	case KindSquash:
-		delete(c.inflight, e.Seq)
+		return
 	}
+	u, ok := c.uops.Add(e)
+	if !ok {
+		return
+	}
+	name := u.Label
+	if name == "" {
+		name = e.Op.String()
+	}
+	c.events = append(c.events, TraceEvent{
+		Name: name, Cat: e.Cls.String(), Ph: "X",
+		TS: u.Dispatch, Dur: max(u.Complete-u.Dispatch, 1), PID: chromePID, TID: u.Port,
+		Args: map[string]any{
+			"seq":    u.Seq,
+			"ready":  u.Ready,
+			"issue":  u.Issue,
+			"commit": u.Commit,
+		},
+	})
 }
 
 // Interval implements Sink: counter tracks for occupancy/queue pressure
@@ -148,24 +118,18 @@ func (c *ChromeSink) Interval(iv Interval) {
 	)
 }
 
-// Close implements Sink: sorts buffered events by timestamp (making every
-// track monotonic) and writes the trace_event JSON object.
+// Close implements Sink: writes the buffered events through
+// WriteTraceEvents and closes the writer.
 func (c *ChromeSink) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].TS < c.events[j].TS })
-	enc := json.NewEncoder(c.w)
-	err := enc.Encode(chromeFile{
-		TraceEvents:     c.events,
-		DisplayTimeUnit: "ms",
-		Metadata:        map[string]any{"unit": "1 ts = 1 core cycle"},
-	})
+	err := WriteTraceEvents(c.w, c.events, map[string]any{"unit": "1 ts = 1 core cycle"})
 	if cerr := c.w.Close(); err == nil {
 		err = cerr
 	}
-	c.events, c.inflight = nil, nil
+	c.events, c.uops = nil, Assembler{}
 	return err
 }
 

@@ -13,9 +13,9 @@ import (
 // the ready μops immediately, and passes the preceding non-ready μops to
 // the next queue. The final queue issues strictly in program order.
 type CASINO struct {
-	queues []Ring // queues[0] is S-IQ0 (dispatch target); last is the in-order IQ
-	window int    // μops examined per S-IQ per cycle (read ports)
-	pass   int    // μops passed to the next queue per cycle (write ports)
+	queues []container.Ring[*UOp] // queues[0] is S-IQ0 (dispatch target); last is the in-order IQ
+	window int                    // μops examined per S-IQ per cycle (read ports)
+	pass   int                    // μops passed to the next queue per cycle (write ports)
 	width  int
 
 	events EnergyEvents
@@ -29,7 +29,7 @@ type CASINO struct {
 // the per-queue read/write port counts (4 at 8-wide).
 func NewCASINO(sizes []int, window, pass, width int) *CASINO {
 	s := &CASINO{
-		queues: make([]Ring, len(sizes)),
+		queues: make([]container.Ring[*UOp], len(sizes)),
 		window: window, pass: pass, width: width,
 	}
 	for i, n := range sizes {

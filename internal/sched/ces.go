@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/container"
 	"repro/internal/isa"
 	"repro/internal/mdp"
 	"repro/internal/rename"
@@ -15,7 +16,7 @@ import (
 // With MDA enabled it additionally applies Ballerino's M-dependence-aware
 // steering (the "CES + MDA steering" bar of Figure 13).
 type CES struct {
-	iqs   []Ring
+	iqs   []container.Ring[*UOp]
 	rn    *rename.Renamer
 	mdp   *mdp.MDP
 	mda   bool
@@ -50,7 +51,7 @@ type CES struct {
 func NewCES(n, depth, width int, rn *rename.Renamer, m *mdp.MDP, mda bool) *CES {
 	s := &CES{
 		rn: rn, mdp: m, mda: mda, width: width,
-		iqs: make([]Ring, n),
+		iqs: make([]container.Ring[*UOp], n),
 	}
 	for i := range s.iqs {
 		s.iqs[i].Init(depth)

@@ -9,7 +9,7 @@ import (
 // FIFO issue queue from whose head consecutive ready μops issue strictly in
 // program order; the first non-ready μop blocks everything younger.
 type InO struct {
-	entries Ring // FIFO, At(0) is the oldest
+	entries container.Ring[*UOp] // FIFO, At(0) is the oldest
 	width   int
 	events  EnergyEvents
 	issued  uint64

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -181,20 +180,10 @@ func (tr *Tree) WriteText(w io.Writer) error {
 	return nil
 }
 
-// chromeFile mirrors internal/obs's trace_event container: the same JSON
-// object format chrome://tracing and Perfetto consume, reusing
-// obs.TraceEvent as the entry type.
-type chromeFile struct {
-	TraceEvents     []obs.TraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string           `json:"displayTimeUnit"`
-	Metadata        map[string]any   `json:"metadata,omitempty"`
-}
-
-// WriteChrome renders the tree in the Chrome trace_event format: one
-// complete ("X") slice per closed span (nested slices form the flame
-// view), a begin ("B") event for each still-open span, timestamps in
-// microseconds since trace start. Events are emitted timestamp-sorted so
-// the track is monotonic, matching the obs.ChromeSink contract.
+// WriteChrome renders the tree in the Chrome trace_event format through
+// obs.WriteTraceEvents: one complete ("X") slice per closed span (nested
+// slices form the flame view), a begin ("B") event for each still-open
+// span, timestamps in microseconds since trace start.
 func (tr *Tree) WriteChrome(w io.Writer) error {
 	t0 := tr.start()
 	events := make([]obs.TraceEvent, 0, len(tr.Spans))
@@ -221,11 +210,5 @@ func (tr *Tree) WriteChrome(w io.Writer) error {
 		}
 		events = append(events, ev)
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeFile{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ms",
-		Metadata:        map[string]any{"trace_id": tr.TraceID, "unit": "1 ts = 1 µs wall clock"},
-	})
+	return obs.WriteTraceEvents(w, events, map[string]any{"trace_id": tr.TraceID, "unit": "1 ts = 1 µs wall clock"})
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	ballerino "repro"
@@ -271,37 +270,6 @@ func (j *Job) Cancel() JobState {
 	return prev
 }
 
-// eventCounter is the obs.Sink a served job attaches for event-granular
-// gauges. Event runs on the simulation goroutine for every pipeline
-// event, so the counters are lock-free atomics; HTTP handlers read them
-// at any time.
-type eventCounter struct {
-	dispatches atomic.Uint64
-	shares     atomic.Uint64
-}
-
-func (c *eventCounter) Event(e *obs.Event) {
-	switch e.Kind {
-	case obs.KindDispatch:
-		c.dispatches.Add(1)
-	case obs.KindPIQShare:
-		c.shares.Add(1)
-	}
-}
-
-func (c *eventCounter) Interval(obs.Interval) {}
-func (c *eventCounter) Close() error          { return nil }
-
-// shareRate returns the fraction of dispatched μops that allocated into a
-// shared P-IQ partition (0 when nothing dispatched yet).
-func (c *eventCounter) shareRate() float64 {
-	d := c.dispatches.Load()
-	if d == 0 {
-		return 0
-	}
-	return float64(c.shares.Load()) / float64(d)
-}
-
 // liveJob is the heartbeat-updated live state of one served job: the
 // source of the per-job Prometheus gauges and of the post-completion
 // /metrics view. Writes happen on the simulation goroutine via the
@@ -310,11 +278,13 @@ type liveJob struct {
 	jobID    int
 	arch     string
 	workload string
-	events   eventCounter
 
 	mu        sync.Mutex
 	last      obs.Interval
 	intervals int
+	// shareRate is the fraction of dispatched μops that allocated into a
+	// shared P-IQ partition, from the recorder's event counts.
+	shareRate float64
 	// Cumulative counters: sums of the interval deltas, which by the
 	// recorder's contract equal the end-of-run statistics once the final
 	// (partial) interval lands.
@@ -332,13 +302,21 @@ func newLiveJob(j *Job) *liveJob {
 	return &liveJob{jobID: j.ID, arch: j.Spec.Arch, workload: j.Spec.Workload}
 }
 
-// observe folds one heartbeat interval (and the registry dump taken with
-// it) into the live state. Runs on the simulation goroutine.
-func (l *liveJob) observe(iv obs.Interval, dump *obs.MetricsDump) {
+// observe folds one heartbeat interval into the live state, with the
+// registry dump and P-IQ share rate read from the attempt's recorder.
+// Runs on the simulation goroutine, where reading rec is safe by the
+// recorder's single-threaded contract.
+func (l *liveJob) observe(iv obs.Interval, rec *obs.Recorder) {
+	dump := rec.Registry().Dump()
+	rate := 0.0
+	if d := rec.EventCount(obs.KindDispatch); d > 0 {
+		rate = float64(rec.EventCount(obs.KindPIQShare)) / float64(d)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.last = iv
 	l.intervals++
+	l.shareRate = rate
 	l.cycles += iv.EndCycle - iv.StartCycle
 	l.committed += iv.Committed
 	l.fetched += iv.Fetched
@@ -364,6 +342,7 @@ func (l *liveJob) reset() {
 	defer l.mu.Unlock()
 	l.last = obs.Interval{}
 	l.intervals = 0
+	l.shareRate = 0
 	l.cycles, l.committed, l.fetched, l.issued = 0, 0, 0, 0
 	l.flushes, l.squashed, l.stalls = 0, 0, 0
 	l.mispredicts, l.violations = 0, 0

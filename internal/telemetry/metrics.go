@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -11,14 +9,20 @@ import (
 	"repro/internal/topdown"
 )
 
-// handleMetrics renders the Prometheus exposition: service counters, the
-// per-job gauges of the current (or most recent) job, and that job's full
-// metrics-registry dump under the `ballerino_` prefix. Everything is
-// rendered from locked snapshots — no handler ever touches live
-// simulation state.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b bytes.Buffer
+// gauge is one gauge sample of the exposition.
+type gauge struct {
+	name, help string
+	value      float64
+}
 
+// handleMetrics renders the Prometheus exposition: service counters and
+// gauges, the per-job gauges of the current (or most recent) job, the
+// lifecycle latency histograms, and that job's full metrics-registry dump
+// under the `ballerino_` prefix. Everything is rendered from locked
+// snapshots — no handler ever touches live simulation state.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	var x obs.Exposition
+	tc := s.traces.Stats()
 	for _, c := range []struct {
 		name, help string
 		value      uint64
@@ -33,8 +37,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"ballserved_store_result_hits_total", "Results served from the durable store without recomputation.", s.storeHits.Load()},
 		{"ballserved_store_errors_total", "Durable-store append/decode failures (degraded durability).", s.storeErrors.Load()},
 		{"ballserved_stream_dropped_total", "SSE frames dropped on slow /stream subscribers.", s.hub.drops()},
+		{"ballserved_trace_cache_hits_total", "Trace-cache lookups served from a resident trace.", tc.Hits},
+		{"ballserved_trace_cache_misses_total", "Trace-cache lookups that ran the interpreter.", tc.Misses},
+		{"ballserved_trace_cache_joins_total", "Trace-cache lookups that joined an in-flight generation.", tc.Joins},
 	} {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
+		x.Counter(c.name, c.help, nil, c.value)
 	}
 
 	s.mu.Lock()
@@ -48,33 +55,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 
-	tc := s.traces.Stats()
 	storeResults := 0
 	if s.store != nil {
 		storeResults = s.store.Results()
 	}
-	gauges := []obs.PromGauge{
-		{Name: "ballserved_ready", Help: "1 when the server accepts jobs.", Value: b2f(s.ready.Load())},
-		{Name: "ballserved_jobs_running", Help: "Jobs currently executing.", Value: float64(running)},
-		{Name: "ballserved_jobs_queued", Help: "Jobs waiting in the queue.", Value: float64(s.q.len())},
-		{Name: "ballserved_queue_capacity", Help: "Admission-control bound on pending jobs (0 = unbounded).", Value: float64(max(s.opts.QueueDepth, 0))},
-		{Name: "ballserved_saturated", Help: "1 while admission control is shedding submissions.", Value: b2f(s.saturated())},
-		{Name: "ballserved_deadletter_jobs", Help: "Jobs parked in the dead-letter tier (retries exhausted).", Value: float64(deadletter)},
-		{Name: "ballserved_recovery_replay_seconds", Help: "Wall time of the last crash-recovery WAL replay.", Value: math.Float64frombits(s.replaySeconds.Load())},
-		{Name: "ballserved_store_results", Help: "Content-addressed results resident in the durable store.", Value: float64(storeResults)},
-		{Name: "ballserved_workers", Help: "Concurrent job workers.", Value: float64(s.opts.Workers)},
-		{Name: "ballserved_stream_subscribers", Help: "Connected /stream clients.", Value: float64(s.hub.count())},
-		{Name: "ballserved_trace_cache_hits_total", Help: "Trace-cache lookups served from a resident trace.", Value: float64(tc.Hits)},
-		{Name: "ballserved_trace_cache_misses_total", Help: "Trace-cache lookups that ran the interpreter.", Value: float64(tc.Misses)},
-		{Name: "ballserved_trace_cache_joins_total", Help: "Trace-cache lookups that joined an in-flight generation.", Value: float64(tc.Joins)},
-		{Name: "ballserved_trace_cache_entries", Help: "Traces resident in the cache.", Value: float64(tc.Entries)},
-		{Name: "ballserved_trace_cache_bytes", Help: "Bytes of resident traces.", Value: float64(tc.BytesUsed)},
+	for _, g := range []gauge{
+		{"ballserved_ready", "1 when the server accepts jobs.", b2f(s.ready.Load())},
+		{"ballserved_jobs_running", "Jobs currently executing.", float64(running)},
+		{"ballserved_jobs_queued", "Jobs waiting in the queue.", float64(s.q.len())},
+		{"ballserved_queue_capacity", "Admission-control bound on pending jobs (0 = unbounded).", float64(max(s.opts.QueueDepth, 0))},
+		{"ballserved_saturated", "1 while admission control is shedding submissions.", b2f(s.saturated())},
+		{"ballserved_deadletter_jobs", "Jobs parked in the dead-letter tier (retries exhausted).", float64(deadletter)},
+		{"ballserved_recovery_replay_seconds", "Wall time of the last crash-recovery WAL replay.", math.Float64frombits(s.replaySeconds.Load())},
+		{"ballserved_store_results", "Content-addressed results resident in the durable store.", float64(storeResults)},
+		{"ballserved_workers", "Concurrent job workers.", float64(s.opts.Workers)},
+		{"ballserved_stream_subscribers", "Connected /stream clients.", float64(s.hub.count())},
+		{"ballserved_trace_cache_entries", "Traces resident in the cache.", float64(tc.Entries)},
+		{"ballserved_trace_cache_bytes", "Bytes of resident traces.", float64(tc.BytesUsed)},
+	} {
+		x.Gauge(g.name, g.help, nil, g.value)
 	}
 
 	var dump *obs.MetricsDump
 	var labels obs.PromLabels
-	var td [topdown.NumCategories]uint64
-	tdOn := false
 	if live != nil {
 		labels = obs.PromLabels{
 			"job":      strconv.Itoa(live.jobID),
@@ -88,59 +91,51 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		} else if live.cycles > 0 {
 			ipc = float64(live.committed) / float64(live.cycles)
 		}
-		jg := []obs.PromGauge{
-			{Name: "ballserved_job_ipc", Help: "Committed μops per cycle (final value once the job is done).", Value: ipc},
-			{Name: "ballserved_job_interval_ipc", Help: "IPC of the most recent heartbeat interval.", Value: live.last.IPC()},
-			{Name: "ballserved_job_cycles", Help: "Simulated cycles in the measured region.", Value: float64(live.cycles)},
-			{Name: "ballserved_job_committed", Help: "Committed μops.", Value: float64(live.committed)},
-			{Name: "ballserved_job_fetched", Help: "Fetched μops.", Value: float64(live.fetched)},
-			{Name: "ballserved_job_issued", Help: "Issued μops.", Value: float64(live.issued)},
-			{Name: "ballserved_job_flushes", Help: "Pipeline flushes.", Value: float64(live.flushes)},
-			{Name: "ballserved_job_squashed", Help: "Squashed μops.", Value: float64(live.squashed)},
-			{Name: "ballserved_job_dispatch_stalls", Help: "Dispatch stall cycles.", Value: float64(live.stalls)},
-			{Name: "ballserved_job_mispredicts", Help: "Branch mispredicts.", Value: float64(live.mispredicts)},
-			{Name: "ballserved_job_violations", Help: "Memory order violations.", Value: float64(live.violations)},
-			{Name: "ballserved_job_sched_occupancy", Help: "Scheduler occupancy at the last heartbeat.", Value: float64(live.last.SchedOccupancy)},
-			{Name: "ballserved_job_lq_pressure", Help: "Load-queue entries at the last heartbeat.", Value: float64(live.last.LQ)},
-			{Name: "ballserved_job_sq_pressure", Help: "Store-queue entries at the last heartbeat.", Value: float64(live.last.SQ)},
-			{Name: "ballserved_job_piq_share_rate", Help: "Fraction of dispatched μops allocated into a shared P-IQ partition.", Value: live.events.shareRate()},
-			{Name: "ballserved_job_intervals", Help: "Heartbeat intervals observed.", Value: float64(live.intervals)},
-			{Name: "ballserved_job_done", Help: "1 once the job reached a terminal state and the gauges are final.", Value: b2f(live.done)},
+		for _, g := range []gauge{
+			{"ballserved_job_ipc", "Committed μops per cycle (final value once the job is done).", ipc},
+			{"ballserved_job_interval_ipc", "IPC of the most recent heartbeat interval.", live.last.IPC()},
+			{"ballserved_job_cycles", "Simulated cycles in the measured region.", float64(live.cycles)},
+			{"ballserved_job_committed", "Committed μops.", float64(live.committed)},
+			{"ballserved_job_fetched", "Fetched μops.", float64(live.fetched)},
+			{"ballserved_job_issued", "Issued μops.", float64(live.issued)},
+			{"ballserved_job_flushes", "Pipeline flushes.", float64(live.flushes)},
+			{"ballserved_job_squashed", "Squashed μops.", float64(live.squashed)},
+			{"ballserved_job_dispatch_stalls", "Dispatch stall cycles.", float64(live.stalls)},
+			{"ballserved_job_mispredicts", "Branch mispredicts.", float64(live.mispredicts)},
+			{"ballserved_job_violations", "Memory order violations.", float64(live.violations)},
+			{"ballserved_job_sched_occupancy", "Scheduler occupancy at the last heartbeat.", float64(live.last.SchedOccupancy)},
+			{"ballserved_job_lq_pressure", "Load-queue entries at the last heartbeat.", float64(live.last.LQ)},
+			{"ballserved_job_sq_pressure", "Store-queue entries at the last heartbeat.", float64(live.last.SQ)},
+			{"ballserved_job_piq_share_rate", "Fraction of dispatched μops allocated into a shared P-IQ partition.", live.shareRate},
+			{"ballserved_job_intervals", "Heartbeat intervals observed.", float64(live.intervals)},
+			{"ballserved_job_done", "1 once the job reached a terminal state and the gauges are final.", b2f(live.done)},
+		} {
+			x.Gauge(g.name, g.help, labels, g.value)
+		}
+		if live.topdownOn {
+			// Per-category issue-slot attribution of the live job: the
+			// series sum to width × cycles by the engine's conservation
+			// invariant, so `category / sum` is directly the slot share.
+			for i, cat := range topdown.Names() {
+				x.Counter("ballerino_topdown_slots_total", "Issue slots attributed to each top-down category.",
+					obs.PromLabels{"arch": live.arch, "category": cat, "job": labels["job"], "workload": live.workload},
+					live.topdown[i])
+			}
 		}
 		dump = live.dump
-		td = live.topdown
-		tdOn = live.topdownOn
 		live.mu.Unlock()
-		for i := range jg {
-			jg[i].Labels = labels
-		}
-		gauges = append(gauges, jg...)
 	}
 
-	obs.WritePromGauges(&b, gauges)
-	if tdOn {
-		// Per-category issue-slot attribution of the live job: the series
-		// sum to width × cycles by the engine's conservation invariant, so
-		// `category / sum` is directly the slot share.
-		const name = "ballerino_topdown_slots_total"
-		fmt.Fprintf(&b, "# HELP %s Issue slots attributed to each top-down category.\n# TYPE %s counter\n", name, name)
-		for i, cat := range topdown.Names() {
-			fmt.Fprintf(&b, "%s{arch=%q,category=%q,job=%q,workload=%q} %d\n",
-				name, labels["arch"], cat, labels["job"], labels["workload"], td[i])
-		}
-	}
 	// Lifecycle latency distributions, buckets annotated with exemplar
 	// trace IDs (OpenMetrics syntax; plain-Prometheus scrapers treat the
 	// ` # {...}` suffix as a comment).
-	obs.WritePromExemplarHists(&b, []*obs.ExemplarHist{
+	x.ExemplarHists([]*obs.ExemplarHist{
 		s.waitHist, s.serviceHist, s.e2eHist, s.fsyncHist, s.replayHist, s.depthHist,
 	}, nil)
-	if dump != nil {
-		obs.WritePrometheus(&b, "ballerino_", dump, labels)
-	}
+	x.Registry("ballerino_", dump, labels)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(b.Bytes())
+	x.WriteTo(w)
 }
 
 func b2f(v bool) float64 {

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"repro/internal/topdown"
-
 	"bufio"
 	"bytes"
 	"context"
@@ -11,10 +9,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	ballerino "repro"
+	"repro/internal/obs"
+	"repro/internal/topdown"
 )
 
 // newTestServer builds and starts a server with a fast heartbeat, mounted
@@ -82,9 +85,19 @@ func waitForState(t *testing.T, s *Server, id int, want JobState) *Job {
 	return nil
 }
 
-// scrape fetches /metrics and returns every sample as name → value
-// (labels stripped; the tests run one job at a time so names are unique).
-func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+// promSample is one parsed exposition sample.
+type promSample struct {
+	name   string
+	labels map[string]string
+	value  float64
+}
+
+// scrapeSamples fetches /metrics and parses it strictly: each family has
+// one HELP line, then one TYPE line, then all of its samples (a
+// histogram's as _bucket, _sum and _count); label values, exemplars'
+// included, use only the \\, \" and \n escapes; and every name ending in
+// _total is typed counter.
+func scrapeSamples(t *testing.T, ts *httptest.Server) []promSample {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -94,43 +107,119 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content type = %q", ct)
 	}
-	out := map[string]float64{}
+	var out []promSample
+	seen := map[string]bool{}
+	fam, typ := "", ""
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if i := strings.Index(line, " # {"); i >= 0 {
-			line = line[:i] // strip OpenMetrics exemplar suffix
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		name := line[:sp]
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			// keep bucket les distinct, drop other label sets
-			if strings.Contains(name[i:], "le=") {
-				name = name[:i] + "{" + extractLE(name[i:]) + "}"
-			} else {
-				name = name[:i]
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			name, _, _ := strings.Cut(line[len("# HELP "):], " ")
+			if seen[name] {
+				t.Fatalf("family %s has a second HELP line", name)
 			}
+			seen[name] = true
+			fam, typ = name, ""
+		case strings.HasPrefix(line, "# TYPE "):
+			name, kind, _ := strings.Cut(line[len("# TYPE "):], " ")
+			if name != fam || typ != "" {
+				t.Fatalf("%q does not directly follow its family's HELP line", line)
+			}
+			if strings.HasSuffix(name, "_total") && kind != "counter" {
+				t.Errorf("%s is typed %s, want counter", name, kind)
+			}
+			typ = kind
+		default:
+			if i := strings.Index(line, " # {"); i >= 0 {
+				ex := line[i+len(" # {"):]
+				if j := strings.IndexByte(ex, '}'); j < 0 {
+					t.Fatalf("malformed exemplar in %q", line)
+				} else {
+					parseLabels(t, ex[:j])
+				}
+				line = line[:i]
+			}
+			sp := strings.LastIndexByte(line, ' ')
+			if sp < 0 {
+				t.Fatalf("malformed exposition line %q", line)
+			}
+			smp := promSample{name: line[:sp], labels: map[string]string{}}
+			if i := strings.IndexByte(smp.name, '{'); i >= 0 {
+				if !strings.HasSuffix(smp.name, "}") {
+					t.Fatalf("unterminated label set in %q", line)
+				}
+				smp.labels = parseLabels(t, smp.name[i+1:len(smp.name)-1])
+				smp.name = smp.name[:i]
+			}
+			n := smp.name
+			if typ == "" || n != fam && (typ != "histogram" || n != fam+"_bucket" && n != fam+"_sum" && n != fam+"_count") {
+				t.Fatalf("sample %q is outside its family's HELP/TYPE block", line)
+			}
+			if smp.value, err = strconv.ParseFloat(line[sp+1:], 64); err != nil {
+				t.Fatalf("bad value in %q: %v", line, err)
+			}
+			out = append(out, smp)
 		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-		out[name] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
-func extractLE(labels string) string {
-	i := strings.Index(labels, `le="`)
-	rest := labels[i+4:]
-	j := strings.IndexByte(rest, '"')
-	return `le="` + rest[:j] + `"`
+// parseLabels parses `k="v",...`, failing on any escape the text format
+// does not define.
+func parseLabels(t *testing.T, s string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for s != "" {
+		key, rest, ok := strings.Cut(s, `="`)
+		if !ok {
+			t.Fatalf("malformed label pair in %q", s)
+		}
+		var v strings.Builder
+		i := 0
+		for ; i < len(rest) && rest[i] != '"'; i++ {
+			if rest[i] != '\\' {
+				v.WriteByte(rest[i])
+				continue
+			}
+			if i++; i == len(rest) {
+				t.Fatalf("dangling escape in %q", s)
+			}
+			switch rest[i] {
+			case 'n':
+				v.WriteByte('\n')
+			case '\\', '"':
+				v.WriteByte(rest[i])
+			default:
+				t.Fatalf("label %s uses escape \\%c, which the text format rejects", key, rest[i])
+			}
+		}
+		if i == len(rest) {
+			t.Fatalf("unterminated label value in %q", s)
+		}
+		out[key] = v.String()
+		s = strings.TrimPrefix(rest[i+1:], ",")
+	}
+	return out
+}
+
+// scrape fetches /metrics through the strict parser and returns every
+// sample as name → value. Label sets are dropped except a bucket's le,
+// which stays in the key as name{le="..."}.
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, smp := range scrapeSamples(t, ts) {
+		name := smp.name
+		if le, ok := smp.labels["le"]; ok {
+			name += `{le="` + le + `"}`
+		}
+		out[name] = smp.value
+	}
+	return out
 }
 
 // TestServedJobMetricsMatchManifest runs one job to completion and checks
@@ -544,5 +633,115 @@ func TestTopdownJobTelemetry(t *testing.T) {
 	plain := waitForState(t, s, v2.ID, JobDone)
 	if pv := plain.View(false); pv.Topdown != nil {
 		t.Errorf("non-topdown job view has topdown tally %v", pv.Topdown)
+	}
+}
+
+// TestExpositionConformance feeds the strict scraper a served top-down
+// trace-file job whose spec workload holds a tab. Lowering replaces a
+// trace-file spec's workload, so the tab is never validated away: it
+// reaches every job-labelled series raw, which the text format allows,
+// and must never be written as the undefined escape \t.
+func TestExpositionConformance(t *testing.T) {
+	s, ts := newTestServer(t)
+	spec := JobSpec{Arch: "OoO", Workload: "store-load", Ops: 5_000}
+	tr, err := ballerino.PrepareTrace(context.Background(), spec.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store-load.balltrace")
+	if err := ballerino.ExportTrace(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	const workload = "store\tload"
+	v := submitJob(t, ts, JobSpec{Arch: "OoO", Workload: workload, TraceFile: path, Topdown: true})
+	waitForState(t, s, v.ID, JobDone)
+
+	var topdownSeries, jobSeries int
+	for _, smp := range scrapeSamples(t, ts) {
+		switch {
+		case smp.name == "ballerino_topdown_slots_total":
+			topdownSeries++
+		case smp.labels["job"] != "":
+			jobSeries++
+		default:
+			continue
+		}
+		if smp.labels["workload"] != workload {
+			t.Errorf("%s workload label = %q, want %q", smp.name, smp.labels["workload"], workload)
+		}
+	}
+	if topdownSeries != len(topdown.Names()) || jobSeries == 0 {
+		t.Errorf("scraped %d top-down and %d job series, want %d and > 0",
+			topdownSeries, jobSeries, len(topdown.Names()))
+	}
+}
+
+// countSink counts dispatches and P-IQ shares: the reference the served
+// share-rate gauge is checked against.
+type countSink struct{ dispatches, shares uint64 }
+
+func (c *countSink) Event(e *obs.Event) {
+	switch e.Kind {
+	case obs.KindDispatch:
+		c.dispatches++
+	case obs.KindPIQShare:
+		c.shares++
+	}
+}
+func (c *countSink) Interval(obs.Interval) {}
+func (c *countSink) Close() error          { return nil }
+
+// TestShareRateGauge: a finished Ballerino job that shared P-IQs reports
+// ballserved_job_piq_share_rate = shares ÷ dispatches, exactly as a
+// counting sink sees them on the same config run through RunContext.
+func TestShareRateGauge(t *testing.T) {
+	s, ts := newTestServer(t)
+	spec := JobSpec{Arch: "Ballerino", Workload: "store-load", Ops: 10_000}
+	v := submitJob(t, ts, spec)
+	if m := waitForState(t, s, v.ID, JobDone).Manifest(); m.SchedCounters["share_activates"] == 0 {
+		t.Fatal("job never activated P-IQ sharing; the test needs a kernel that does")
+	}
+	got := scrape(t, ts)["ballserved_job_piq_share_rate"]
+
+	var c countSink
+	cfg := spec.Config()
+	cfg.Recorder = obs.NewRecorder(0, &c)
+	if _, err := ballerino.RunContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c.shares == 0 {
+		t.Fatal("reference run emitted no P-IQ share events")
+	}
+	if want := float64(c.shares) / float64(c.dispatches); got != want {
+		t.Errorf("share rate gauge = %v, want %d/%d = %v", got, c.shares, c.dispatches, want)
+	}
+}
+
+// TestShareRateResetOnRetry: the share rate is per-attempt state, so the
+// reset before a retry clears it with the other live counters and the
+// gauge never mixes a failed attempt's dispatches and shares with the
+// retry's.
+func TestShareRateResetOnRetry(t *testing.T) {
+	s := mustServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	rec := obs.NewRecorder(0)
+	for seq := uint64(0); seq < 4; seq++ {
+		rec.Emit(obs.Event{Kind: obs.KindDispatch, Seq: seq})
+	}
+	rec.Emit(obs.Event{Kind: obs.KindPIQShare, Seq: 3})
+	live := newLiveJob(&Job{ID: 1, Spec: JobSpec{Arch: "Ballerino", Workload: "store-load"}})
+	live.observe(obs.Interval{EndCycle: 100}, rec)
+	s.mu.Lock()
+	s.live = live
+	s.mu.Unlock()
+
+	if got := scrape(t, ts)["ballserved_job_piq_share_rate"]; got != 0.25 {
+		t.Fatalf("share rate = %v, want 1/4", got)
+	}
+	live.reset()
+	if got := scrape(t, ts)["ballserved_job_piq_share_rate"]; got != 0 {
+		t.Errorf("share rate after reset = %v, want 0", got)
 	}
 }

@@ -707,9 +707,9 @@ func (s *Server) worker() {
 }
 
 // runJob executes one attempt of one job: the started record is written
-// ahead, then a caller-owned recorder is built with the event-counting
-// sink and an interval fan-out hook that updates the live gauges and
-// publishes to the SSE hub, and ballerino.RunContext runs under the
+// ahead, then a caller-owned recorder is built with no sink and an
+// interval fan-out hook that updates the live gauges and publishes to
+// the SSE hub, and ballerino.RunContext runs under the
 // job's cancellable (and, with -job-timeout, deadline-bounded) context.
 // The terminal classification routes failures into retry backoff or the
 // dead-letter tier and successes into the durable result store.
@@ -780,11 +780,9 @@ func (s *Server) runJob(job *Job) {
 			"workload", job.Spec.Workload,
 			"arch", job.Spec.Arch,
 		), func(runCtx context.Context) {
-			rec := obs.NewRecorder(s.opts.HeartbeatCycles, &live.events)
+			rec := obs.NewRecorder(s.opts.HeartbeatCycles)
 			rec.OnInterval(func(iv obs.Interval) {
-				// Simulation goroutine: reading the registry here is safe by the
-				// recorder's single-threaded contract, and Dump is a deep copy.
-				live.observe(iv, rec.Registry().Dump())
+				live.observe(iv, rec)
 				s.hub.publish("interval", streamInterval{
 					Job: job.ID, Arch: job.Spec.Arch, Workload: job.Spec.Workload,
 					IPC: iv.IPC(), Interval: iv,

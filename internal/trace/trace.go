@@ -1,5 +1,5 @@
-// Package trace reconstructs per-μop pipeline lifetimes from the
-// internal/obs event stream and renders them as a Kanata/Konata log. It is
+// Package trace selects a window of committed μop timelines from the
+// internal/obs event stream and renders it as a Kanata/Konata log. It is
 // the shared backend of cmd/pipetrace and the trace regression tests.
 package trace
 
@@ -12,67 +12,16 @@ import (
 	"repro/internal/obs"
 )
 
-// UOp is one committed μop's reconstructed stage timeline (cycles).
-type UOp struct {
-	Seq   uint64
-	Label string
-
-	Decode   uint64
-	Dispatch uint64
-	Ready    uint64
-	Issue    uint64
-	Complete uint64
-	Commit   uint64
-}
-
-// partial accumulates stage events for one in-flight sequence number until
-// commit (kept) or squash (dropped and rebuilt on refetch).
-type partial struct {
-	u                           UOp
-	decoded, dispatched, issued bool
-}
-
-// Assemble replays an obs event stream and returns the committed μops with
-// sequence numbers in [from, to), in commit order. Squashed attempts are
-// discarded; a refetched μop's timeline reflects its committed incarnation.
-func Assemble(events []obs.Event, from, to uint64) []UOp {
-	inflight := make(map[uint64]*partial, 256)
-	var window []UOp
+// Assemble replays an obs event stream through obs.Assembler and returns
+// the committed μops with sequence numbers in [from, to), in commit order.
+// Squashed attempts are discarded; a refetched μop's timeline reflects its
+// committed incarnation.
+func Assemble(events []obs.Event, from, to uint64) []obs.Timeline {
+	var a obs.Assembler
+	var window []obs.Timeline
 	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case obs.KindDecode:
-			inflight[e.Seq] = &partial{
-				u:       UOp{Seq: e.Seq, Label: e.Label, Decode: e.Cycle},
-				decoded: true,
-			}
-		case obs.KindDispatch:
-			if p := inflight[e.Seq]; p != nil {
-				p.u.Dispatch, p.dispatched = e.Cycle, true
-			}
-		case obs.KindIssue:
-			if p := inflight[e.Seq]; p != nil {
-				p.u.Issue, p.u.Ready, p.issued = e.Cycle, e.Arg, true
-			}
-		case obs.KindExec:
-			if p := inflight[e.Seq]; p != nil {
-				p.u.Complete = e.Arg
-			}
-		case obs.KindSquash:
-			delete(inflight, e.Seq)
-		case obs.KindCommit:
-			p := inflight[e.Seq]
-			delete(inflight, e.Seq)
-			if p == nil || !p.decoded || !p.dispatched || !p.issued {
-				continue
-			}
-			p.u.Commit = e.Cycle
-			if p.u.Complete < p.u.Issue {
-				p.u.Complete = p.u.Issue
-			}
-			if e.Seq >= from && e.Seq < to {
-				window = append(window, p.u)
-			}
+		if u, ok := a.Add(&events[i]); ok && u.Seq >= from && u.Seq < to {
+			window = append(window, u)
 		}
 	}
 	return window
@@ -81,7 +30,7 @@ func Assemble(events []obs.Event, from, to uint64) []UOp {
 // WriteKanata emits the window as a Kanata 0004 log: one lane per μop with
 // Dc (decode/backpressure), Sc (scheduler), Is (issue/execute) stages,
 // readable by the Konata pipeline viewer.
-func WriteKanata(out io.Writer, window []UOp) error {
+func WriteKanata(out io.Writer, window []obs.Timeline) error {
 	type event struct {
 		cycle uint64
 		line  string

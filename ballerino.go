@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/check"
@@ -222,8 +221,9 @@ func (c Config) resolve() (resolved, error) {
 	// need not be in the catalogue — imported trace files run under the
 	// name recorded in their header, held to account by the trace-key
 	// equality check below.
-	if rc.Custom == nil && rc.Trace == nil && !kernelSet()[rc.Workload] {
-		return rc, fail("unknown workload %q (valid: %v, extras: %v)", rc.Workload, kernelNames(false), kernelNames(true))
+	if _, ok := workload.Lookup(rc.Workload); !ok && rc.Custom == nil && rc.Trace == nil {
+		return rc, fail("unknown workload %q (valid: %v, extras: %v)",
+			rc.Workload, workload.Names(false), workload.Names(true))
 	}
 	if rc.MaxOps < 0 {
 		return rc, fail("MaxOps %d must not be negative", rc.MaxOps)
@@ -331,60 +331,27 @@ func Architectures() []string {
 	return names
 }
 
-// listParams generates kernels at a tiny footprint: names don't depend on
-// sizing, and listing must stay cheap enough for Config.Validate to call.
-var listParams = workload.Params{Footprint: 1 << 12}
-
 // Kernel describes one runnable synthetic kernel: its name, its broad
 // behaviour class, the SPEC application behaviour it stands in for, and
 // whether it belongs to the extras set (runnable by name but excluded
 // from the calibrated figure suite).
 type Kernel struct {
 	Name    string
-	Kind    string // "memory-bound", "compute-bound", "branchy", "mixed"
+	Kind    string // "memory-bound", "compute-bound", "branchy", "mixed", "calibrated"
 	Emulate string
 	Extra   bool
 }
 
-// kernelList builds the kernel catalogue exactly once: listing used to
-// rebuild every kernel program on each call (and Validate listed per
-// run), which is pure waste — names and metadata never change.
-var kernelList = sync.OnceValue(func() []Kernel {
+// Kernels lists every runnable kernel — the standard figure suite first,
+// then the extras (Extra = true) — with its metadata, read from the
+// workload catalogue without building any program. The returned slice is
+// the caller's to mutate.
+func Kernels() []Kernel {
 	var ks []Kernel
-	for _, w := range workload.All(listParams) {
-		ks = append(ks, Kernel{Name: w.Name, Kind: w.Kind, Emulate: w.Emulate})
-	}
-	for _, w := range workload.Extras(listParams) {
-		ks = append(ks, Kernel{Name: w.Name, Kind: w.Kind, Emulate: w.Emulate, Extra: true})
+	for _, k := range workload.Kernels() {
+		ks = append(ks, Kernel{Name: k.Name, Kind: k.Kind, Emulate: k.Emulate, Extra: k.Extra})
 	}
 	return ks
-})
-
-// kernelSet is the constant-time name membership check behind Validate.
-var kernelSet = sync.OnceValue(func() map[string]bool {
-	set := make(map[string]bool)
-	for _, k := range kernelList() {
-		set[k.Name] = true
-	}
-	return set
-})
-
-// Kernels lists every runnable kernel — the standard figure suite first,
-// then the extras (Extra = true) — with its metadata. The returned slice
-// is the caller's to mutate.
-func Kernels() []Kernel {
-	return slices.Clone(kernelList())
-}
-
-// kernelNames lists the catalogue names with the given Extra flag.
-func kernelNames(extra bool) []string {
-	var names []string
-	for _, k := range kernelList() {
-		if k.Extra == extra {
-			names = append(names, k.Name)
-		}
-	}
-	return names
 }
 
 // Run executes one simulation. Every failure is a *SimError; no panic

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // normalizeManifest zeroes the wall-time identity fields — the only
@@ -164,17 +163,43 @@ func TestPrepareTraceInjection(t *testing.T) {
 	}
 }
 
-// TestKernels: the catalogue lists the standard suite first, then the
-// extras, each kernel with its metadata and Extra tag matching the
-// workload package, and repeated calls do not share backing storage.
+// TestTraceSizeCountsBothImages: a cached trace's share of the LRU
+// budget covers both memory images it holds — the program's initial image
+// and the final state. For a memory-bound kernel the two are about the
+// same size, so counting only one under-charges the budget by half.
+func TestTraceSizeCountsBothImages(t *testing.T) {
+	tc := NewTraceCache(0)
+	tr, err := tc.Prepare(context.Background(), Config{Workload: "stream", MaxOps: 1000, FootprintBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := int64(len(tr.tr.Program.InitMem)+len(tr.tr.Final.Mem)) * mapEntry
+	if got := tc.Stats().BytesUsed; got < images {
+		t.Errorf("BytesUsed = %d, want at least %d for the initial and final memory images", got, images)
+	}
+}
+
+// TestKernels: the catalogue lists the standard suite sorted by name,
+// then the extras in their fixed order — the order sweep's default rows
+// and the experiments' columns follow — each kernel with its metadata, and
+// repeated calls do not share backing storage.
 func TestKernels(t *testing.T) {
+	want := []string{
+		"branchy", "compute", "hash-join", "mixed", "pointer-chase",
+		"reduction", "sparse-trees", "stencil", "store-load", "stream",
+		"bst-search", "shellsort-pass", "butterfly",
+		"calib-alu25", "calib-div", "calib-fpmul", "calib-mem50", "calib-mix",
+	}
+	const std = 10
 	ks := Kernels()
-	std := len(workload.All(listParams))
-	if want := std + len(workload.Extras(listParams)); len(ks) != want {
-		t.Fatalf("Kernels() has %d entries, workload catalogue has %d", len(ks), want)
+	if len(ks) != len(want) {
+		t.Fatalf("Kernels() has %d entries, want %d", len(ks), len(want))
 	}
 	for i, k := range ks {
-		if k.Name == "" || k.Kind == "" || k.Emulate == "" {
+		if k.Name != want[i] {
+			t.Errorf("kernel %d is %q, want %q", i, k.Name, want[i])
+		}
+		if k.Kind == "" || k.Emulate == "" {
 			t.Errorf("kernel %+v has empty metadata", k)
 		}
 		if k.Extra != (i >= std) {

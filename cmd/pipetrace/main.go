@@ -7,10 +7,11 @@
 // Legend: D decoded, q waiting dispatch, s in scheduler, r ready, X issue,
 // e executing, C complete.
 //
-// The window is assembled from the internal/obs event bus (an in-memory
-// sink over decode/dispatch/issue/exec/commit events) by obs.Assembler,
-// the same assembler behind ballsim's Chrome trace, so the rendering
-// consumes exactly what external trace files contain.
+// The run goes through ballerino.Run with an in-memory internal/obs sink
+// as its recorder; the window is assembled from those decode/dispatch/
+// issue/exec/commit events by obs.Assembler, the same assembler behind
+// ballsim's Chrome trace, so the rendering consumes exactly what external
+// trace files contain.
 package main
 
 import (
@@ -19,12 +20,9 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/config"
+	ballerino "repro"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/prog"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -43,25 +41,14 @@ func main() {
 		budget = int(*from+*n) + 1000
 	}
 
-	m, err := config.NewMachine(config.Arch(*arch), 8, config.Options{
-		MaxCycles: uint64(budget) * 200,
-	})
-	if err != nil {
-		fail(err)
-	}
-	w, err := workload.ByName(*wl, workload.Params{})
-	if err != nil {
-		fail(err)
-	}
-	tr := prog.MustExecute(w.Program, budget)
-	p, err := pipeline.New(m.Pipeline, tr.Ops, m.Factory)
-	if err != nil {
-		fail(err)
-	}
-
 	mem := &obs.MemorySink{}
-	p.AttachObs(obs.NewRecorder(0, mem))
-	if _, err := p.Run(uint64(len(tr.Ops))); err != nil {
+	if _, err := ballerino.Run(ballerino.Config{
+		Arch:      *arch,
+		Workload:  *wl,
+		MaxOps:    budget,
+		MaxCycles: uint64(budget) * 200,
+		Recorder:  obs.NewRecorder(0, mem),
+	}); err != nil {
 		fail(err)
 	}
 	window := trace.Assemble(mem.Events, *from, *from+*n)

@@ -98,7 +98,10 @@ func BenchmarkMDPDispatch(b *testing.B) {
 }
 
 func BenchmarkFunctionalExecution(b *testing.B) {
-	w := workload.Stream(workload.Params{Footprint: 1 << 20})
+	w, err := workload.ByName("stream", workload.Params{Footprint: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prog.MustExecute(w.Program, 10_000)
@@ -107,7 +110,14 @@ func BenchmarkFunctionalExecution(b *testing.B) {
 }
 
 func BenchmarkTraceGenerationAllKernels(b *testing.B) {
-	ws := workload.All(workload.Params{Footprint: 1 << 20})
+	var ws []workload.Workload
+	for _, name := range workload.Names(false) {
+		w, err := workload.ByName(name, workload.Params{Footprint: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, w := range ws {

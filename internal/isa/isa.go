@@ -229,45 +229,40 @@ type Inst struct {
 	Halt bool
 }
 
-// Reads returns the architectural registers the instruction reads
-// (excluding RegNone), in operand order.
-func (in *Inst) Reads() []Reg {
-	var rs []Reg
+// Dyn returns the μop this instruction issues as the seq-th of a dynamic
+// stream at static index pc, with every field the static instruction
+// determines: opcode class, function, condition, destination, immediate,
+// access size, fall-through Next, and the source operands by class —
+// loads read their base, stores their base and data, branches their
+// condition input, ALU classes both sources. The caller adds the dynamic
+// facts: effective address, branch outcome, and Next of a taken branch.
+// The functional interpreter and the trace-file reader both build their
+// μops here, so their streams agree by construction.
+func (in *Inst) Dyn(seq uint64, pc int) DynInst {
+	d := DynInst{
+		Seq:  seq,
+		PC:   pc,
+		Op:   in.Op,
+		Fn:   in.Fn,
+		Cond: in.Cond,
+		Dst:  in.Dst,
+		Src1: in.Src1,
+		Src2: in.Src2,
+		Imm:  in.Imm,
+		Size: 8,
+		Next: pc + 1,
+	}
 	switch in.Op {
+	case OpNop:
+		d.Src1, d.Src2 = RegNone, RegNone
 	case OpLoad:
-		if in.Base.Valid() {
-			rs = append(rs, in.Base)
-		}
+		d.Src1, d.Src2 = in.Base, RegNone
 	case OpStore:
-		if in.Base.Valid() {
-			rs = append(rs, in.Base)
-		}
-		if in.Src1.Valid() {
-			rs = append(rs, in.Src1)
-		}
+		d.Src1, d.Src2 = in.Base, in.Src1 // base, data
 	case OpBranch:
-		if in.Src1.Valid() {
-			rs = append(rs, in.Src1)
-		}
-	default:
-		if in.Src1.Valid() {
-			rs = append(rs, in.Src1)
-		}
-		if in.Src2.Valid() {
-			rs = append(rs, in.Src2)
-		}
+		d.Src2 = RegNone
 	}
-	return rs
-}
-
-// Writes returns the architectural destination register, or RegNone.
-func (in *Inst) Writes() Reg {
-	switch in.Op {
-	case OpStore, OpBranch, OpNop:
-		return RegNone
-	default:
-		return in.Dst
-	}
+	return d
 }
 
 func (in *Inst) String() string {

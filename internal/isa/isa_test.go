@@ -116,35 +116,44 @@ func TestBrCondComplement(t *testing.T) {
 	}
 }
 
+// TestInstReadsWrites: the μop an instruction issues (Inst.Dyn) reads and
+// writes the registers its class implies — loads their base, stores their
+// base and data, branches their condition input, ALU ops both sources —
+// and carries the static fields plus a fall-through Next.
 func TestInstReadsWrites(t *testing.T) {
-	ld := Inst{Op: OpLoad, Dst: R(1), Base: R(2)}
-	if rs := ld.Reads(); len(rs) != 1 || rs[0] != R(2) {
-		t.Errorf("load reads = %v, want [r2]", rs)
+	ld := Inst{Op: OpLoad, Dst: R(1), Src1: R(9), Src2: R(9), Base: R(2), Imm: 16}
+	d := ld.Dyn(7, 3)
+	if rs := d.Reads(); rs != [2]Reg{R(2), RegNone} {
+		t.Errorf("load reads = %v, want [r2 -]", rs)
 	}
-	if w := ld.Writes(); w != R(1) {
+	if w := d.Writes(); w != R(1) {
 		t.Errorf("load writes = %v, want r1", w)
+	}
+	if d.Seq != 7 || d.PC != 3 || d.Next != 4 || d.Imm != 16 || d.Size != 8 {
+		t.Errorf("load μop = %+v, want seq 7, pc 3, next 4, imm 16, size 8", d)
 	}
 
 	st := Inst{Op: OpStore, Src1: R(3), Base: R(4)}
-	if rs := st.Reads(); len(rs) != 2 || rs[0] != R(4) || rs[1] != R(3) {
+	d = st.Dyn(0, 0)
+	if rs := d.Reads(); rs != [2]Reg{R(4), R(3)} {
 		t.Errorf("store reads = %v, want [r4 r3]", rs)
 	}
-	if w := st.Writes(); w != RegNone {
+	if w := d.Writes(); w != RegNone {
 		t.Errorf("store writes = %v, want none", w)
 	}
 
-	br := Inst{Op: OpBranch, Cond: BrNEZ, Src1: R(5)}
-	if rs := br.Reads(); len(rs) != 1 || rs[0] != R(5) {
-		t.Errorf("branch reads = %v, want [r5]", rs)
+	br := Inst{Op: OpBranch, Cond: BrNEZ, Src1: R(5), Src2: R(6), Target: 1}
+	if d := br.Dyn(0, 9); d.Reads() != [2]Reg{R(5), RegNone} || d.Cond != BrNEZ || d.Next != 10 {
+		t.Errorf("branch μop = %+v, want reads [r5 -], bnez, fall-through next 10", d)
 	}
 
 	alu := Inst{Op: OpIntALU, Fn: FnAdd, Dst: R(1), Src1: R(2), Src2: R(3)}
-	if rs := alu.Reads(); len(rs) != 2 {
-		t.Errorf("alu reads = %v, want two regs", rs)
+	if d := alu.Dyn(0, 0); d.Reads() != [2]Reg{R(2), R(3)} || d.Fn != FnAdd || d.Writes() != R(1) {
+		t.Errorf("alu μop = %+v, want reads [r2 r3], add, writes r1", d)
 	}
-	aluImm := Inst{Op: OpIntALU, Fn: FnAdd, Dst: R(1), Src1: R(2), Src2: RegNone}
-	if rs := aluImm.Reads(); len(rs) != 1 {
-		t.Errorf("alu-imm reads = %v, want one reg", rs)
+	nop := Inst{Op: OpNop, Src1: R(2), Src2: R(3)}
+	if d := nop.Dyn(0, 0); d.Src1 != RegNone || d.Src2 != RegNone {
+		t.Errorf("nop μop = %+v, want no sources", d)
 	}
 }
 

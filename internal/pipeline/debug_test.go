@@ -16,7 +16,7 @@ import (
 var debugCases = []struct {
 	name      string
 	arch      config.Arch
-	workload  func(workload.Params) workload.Workload
+	workload  string
 	ops       int
 	maxCycles uint64
 	report    func(t *testing.T, p *pipeline.Pipeline)
@@ -25,7 +25,7 @@ var debugCases = []struct {
 		// The historically deadlock-prone CES store-load combination.
 		name:      "ces-store-load",
 		arch:      config.ArchCES,
-		workload:  workload.StoreLoad,
+		workload:  "store-load",
 		ops:       4000,
 		maxCycles: 200_000,
 		report: func(t *testing.T, p *pipeline.Pipeline) {
@@ -40,7 +40,7 @@ var debugCases = []struct {
 		// (assertions live in TestMDPReducesViolations).
 		name:      "mdp-store-load",
 		arch:      config.ArchOoO,
-		workload:  workload.StoreLoad,
+		workload:  "store-load",
 		ops:       20_000,
 		maxCycles: 2_000_000,
 		report: func(t *testing.T, p *pipeline.Pipeline) {
@@ -51,7 +51,7 @@ var debugCases = []struct {
 		// Cache and prefetcher behaviour on the stencil kernel.
 		name:      "stencil-memory",
 		arch:      config.ArchOoO,
-		workload:  workload.Stencil,
+		workload:  "stencil",
 		ops:       40_000,
 		maxCycles: 10_000_000,
 		report: func(t *testing.T, p *pipeline.Pipeline) {
@@ -76,7 +76,7 @@ func TestDebugDiagnostics(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			m := config.MustMachine(tc.arch, 8, config.Options{MaxCycles: tc.maxCycles})
-			tr := traceOf(t, tc.workload(workload.Params{}), tc.ops)
+			tr := traceOf(t, kernel(t, tc.workload, workload.Params{}), tc.ops)
 			p, err := pipeline.New(m.Pipeline, tr, m.Factory)
 			if err != nil {
 				t.Fatal(err)

@@ -16,6 +16,16 @@ const (
 	testCycles = 3_000_000
 )
 
+// kernel builds the named catalogue kernel.
+func kernel(t *testing.T, name string, p workload.Params) workload.Workload {
+	t.Helper()
+	w, err := workload.ByName(name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func traceOf(t *testing.T, w workload.Workload, n int) []isa.DynInst {
 	t.Helper()
 	return prog.MustExecute(w.Program, n).Ops
@@ -40,9 +50,12 @@ func TestEveryArchRunsEveryKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	params := workload.Params{Footprint: 1 << 20}
+	var suite []workload.Workload
+	for _, name := range workload.Names(false) {
+		suite = append(suite, kernel(t, name, workload.Params{Footprint: 1 << 20}))
+	}
 	for _, arch := range config.AllArchs() {
-		for _, w := range workload.All(params) {
+		for _, w := range suite {
 			arch, w := arch, w
 			t.Run(string(arch)+"/"+w.Name, func(t *testing.T) {
 				p, ipc := runArch(t, arch, w, 8000)
@@ -65,7 +78,7 @@ func TestCommitOrderAndExactlyOnce(t *testing.T) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			m := config.MustMachine(arch, 8, config.Options{MaxCycles: testCycles})
-			tr := traceOf(t, workload.StoreLoad(workload.Params{}), 10000)
+			tr := traceOf(t, kernel(t, "store-load", workload.Params{}), 10000)
 			p, err := pipeline.New(m.Pipeline, tr, m.Factory)
 			if err != nil {
 				t.Fatal(err)
@@ -98,7 +111,7 @@ func TestNoIssueBeforeReady(t *testing.T) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			m := config.MustMachine(arch, 8, config.Options{MaxCycles: testCycles})
-			tr := traceOf(t, workload.Mixed(workload.Params{Footprint: 1 << 20}), 8000)
+			tr := traceOf(t, kernel(t, "mixed", workload.Params{Footprint: 1 << 20}), 8000)
 			p, err := pipeline.New(m.Pipeline, tr, m.Factory)
 			if err != nil {
 				t.Fatal(err)
@@ -124,7 +137,7 @@ func TestNoIssueBeforeReady(t *testing.T) {
 // TestInOrderIssueIsMonotone: the in-order core must issue in program order.
 func TestInOrderIssueIsMonotone(t *testing.T) {
 	m := config.MustMachine(config.ArchInO, 8, config.Options{MaxCycles: testCycles})
-	tr := traceOf(t, workload.Compute(workload.Params{}), 6000)
+	tr := traceOf(t, kernel(t, "compute", workload.Params{}), 6000)
 	p, err := pipeline.New(m.Pipeline, tr, m.Factory)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +155,7 @@ func TestInOrderIssueIsMonotone(t *testing.T) {
 }
 
 func TestOoOBeatsInOOnCompute(t *testing.T) {
-	w := workload.Compute(workload.Params{})
+	w := kernel(t, "compute", workload.Params{})
 	_, inoIPC := runArch(t, config.ArchInO, w, 12000)
 	_, oooIPC := runArch(t, config.ArchOoO, w, 12000)
 	if oooIPC <= inoIPC {
@@ -153,7 +166,7 @@ func TestOoOBeatsInOOnCompute(t *testing.T) {
 func TestOoOToleratesCacheMissesBetter(t *testing.T) {
 	// Pointer chase over an L3-overflowing footprint: the OoO core should
 	// hide some latency (MLP for the payload loads) relative to InO.
-	w := workload.PointerChase(workload.Params{Footprint: 4 << 20})
+	w := kernel(t, "pointer-chase", workload.Params{Footprint: 4 << 20})
 	_, inoIPC := runArch(t, config.ArchInO, w, 6000)
 	_, oooIPC := runArch(t, config.ArchOoO, w, 6000)
 	if oooIPC < inoIPC {
@@ -162,7 +175,7 @@ func TestOoOToleratesCacheMissesBetter(t *testing.T) {
 }
 
 func TestMDPReducesViolations(t *testing.T) {
-	w := workload.StoreLoad(workload.Params{})
+	w := kernel(t, "store-load", workload.Params{})
 	tr := traceOf(t, w, 20000)
 
 	run := func(disable bool) *pipeline.Pipeline {
@@ -200,7 +213,7 @@ func TestMDPReducesViolations(t *testing.T) {
 }
 
 func TestBranchyWorkloadMispredicts(t *testing.T) {
-	p, _ := runArch(t, config.ArchOoO, workload.Branchy(workload.Params{}), 12000)
+	p, _ := runArch(t, config.ArchOoO, kernel(t, "branchy", workload.Params{}), 12000)
 	s := p.Stats()
 	if s.Branches == 0 {
 		t.Fatal("no branches recorded")
@@ -214,14 +227,14 @@ func TestBranchyWorkloadMispredicts(t *testing.T) {
 }
 
 func TestStreamMispredictsRare(t *testing.T) {
-	p, _ := runArch(t, config.ArchOoO, workload.Stream(workload.Params{Footprint: 1 << 20}), 12000)
+	p, _ := runArch(t, config.ArchOoO, kernel(t, "stream", workload.Params{Footprint: 1 << 20}), 12000)
 	if rate := p.Stats().MispredictRate(); rate > 0.05 {
 		t.Errorf("stream mispredict rate = %.3f, want ≈0", rate)
 	}
 }
 
 func TestDelayBreakdownRecorded(t *testing.T) {
-	p, _ := runArch(t, config.ArchOoO, workload.PointerChase(workload.Params{Footprint: 2 << 20}), 8000)
+	p, _ := runArch(t, config.ArchOoO, kernel(t, "pointer-chase", workload.Params{Footprint: 2 << 20}), 8000)
 	s := p.Stats()
 	if s.Delay[sched.ClassLd].Count == 0 {
 		t.Error("no loads classified")
@@ -246,7 +259,7 @@ func TestSchedulerOccupancyBounded(t *testing.T) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			m := config.MustMachine(arch, 8, config.Options{MaxCycles: testCycles})
-			tr := traceOf(t, workload.HashJoin(workload.Params{Footprint: 1 << 20}), 6000)
+			tr := traceOf(t, kernel(t, "hash-join", workload.Params{Footprint: 1 << 20}), 6000)
 			p, err := pipeline.New(m.Pipeline, tr, m.Factory)
 			if err != nil {
 				t.Fatal(err)
@@ -285,7 +298,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMaxCyclesAborts(t *testing.T) {
 	m := config.MustMachine(config.ArchOoO, 8, config.Options{MaxCycles: 10})
-	tr := traceOf(t, workload.PointerChase(workload.Params{Footprint: 4 << 20}), 5000)
+	tr := traceOf(t, kernel(t, "pointer-chase", workload.Params{Footprint: 4 << 20}), 5000)
 	p, err := pipeline.New(m.Pipeline, tr, m.Factory)
 	if err != nil {
 		t.Fatal(err)

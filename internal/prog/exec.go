@@ -24,15 +24,6 @@ func NewArchState() *ArchState {
 	return &ArchState{Mem: make(map[uint64]int64)}
 }
 
-// Clone deep-copies the state.
-func (s *ArchState) Clone() *ArchState {
-	c := &ArchState{Regs: s.Regs, Mem: make(map[uint64]int64, len(s.Mem))}
-	for k, v := range s.Mem {
-		c.Mem[k] = v
-	}
-	return c
-}
-
 // LoadWord reads the 8-byte-aligned word containing addr.
 func (s *ArchState) LoadWord(addr uint64) int64 { return s.Mem[addr&^7] }
 
@@ -94,9 +85,6 @@ type Trace struct {
 	Program *Program
 	Ops     []isa.DynInst
 	Final   *ArchState
-	// LoadValues[i] is the value loaded by Ops[i] if it is a load
-	// (used by store-to-load forwarding checks in tests).
-	LoadValues map[uint64]int64 // seq → value
 }
 
 // Execute runs the program functionally and returns its dynamic trace.
@@ -126,11 +114,7 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 		st.Mem[a] = v
 	}
 
-	tr := &Trace{
-		Program:    p,
-		Final:      st,
-		LoadValues: make(map[uint64]int64),
-	}
+	tr := &Trace{Program: p, Final: st}
 	pc := 0
 	done := ctx.Done()
 	for len(tr.Ops) < maxOps {
@@ -149,42 +133,25 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 		if in.Halt {
 			return tr, nil
 		}
-		d := isa.DynInst{
-			Seq:  uint64(len(tr.Ops)),
-			PC:   pc,
-			Op:   in.Op,
-			Fn:   in.Fn,
-			Cond: in.Cond,
-			Dst:  in.Dst,
-			Imm:  in.Imm,
-			Size: 8,
-		}
-		next := pc + 1
+		d := in.Dyn(uint64(len(tr.Ops)), pc)
 		switch in.Op {
 		case isa.OpNop:
-			d.Src1, d.Src2 = isa.RegNone, isa.RegNone
 		case isa.OpLoad:
-			d.Src1, d.Src2 = in.Base, isa.RegNone
 			d.Addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
-			v := st.LoadWord(d.Addr)
-			st.Regs[in.Dst] = v
-			tr.LoadValues[d.Seq] = v
+			st.Regs[in.Dst] = st.LoadWord(d.Addr)
 		case isa.OpStore:
-			d.Src1, d.Src2 = in.Base, in.Src1 // base, data
 			d.Addr = uint64(st.Regs[in.Base]+in.Imm) &^ 7
 			st.StoreWord(d.Addr, st.Regs[in.Src1])
 		case isa.OpBranch:
-			d.Src1, d.Src2 = in.Src1, isa.RegNone
 			var v int64
 			if in.Src1.Valid() {
 				v = st.Regs[in.Src1]
 			}
 			d.Taken = in.Cond.Eval(v)
 			if d.Taken {
-				next = in.Target
+				d.Next = in.Target
 			}
 		default: // ALU classes
-			d.Src1, d.Src2 = in.Src1, in.Src2
 			var a, bv int64
 			if in.Src1.Valid() {
 				a = st.Regs[in.Src1]
@@ -194,9 +161,8 @@ func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error)
 			}
 			st.Regs[in.Dst] = evalALU(in.Fn, a, bv, in.Imm)
 		}
-		d.Next = next
 		tr.Ops = append(tr.Ops, d)
-		pc = next
+		pc = d.Next
 	}
 	return tr, ErrFuel
 }

@@ -64,13 +64,16 @@ func TestExecuteMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := tr.Final.Regs[isa.R(2)]; got != 42 {
+		t.Errorf("r2 = %d, want 42", got)
+	}
 	if got := tr.Final.Regs[isa.R(4)]; got != 50 {
 		t.Errorf("r4 = %d, want 50", got)
 	}
 	if got := tr.Final.LoadWord(0x1008); got != 50 {
 		t.Errorf("mem[0x1008] = %d, want 50", got)
 	}
-	// Dynamic record checks: addresses resolved, load values recorded.
+	// Dynamic record checks: addresses resolved.
 	var loads, stores int
 	for _, d := range tr.Ops {
 		if d.IsLoad() {
@@ -88,9 +91,6 @@ func TestExecuteMemory(t *testing.T) {
 	}
 	if loads != 2 || stores != 1 {
 		t.Errorf("loads=%d stores=%d, want 2,1", loads, stores)
-	}
-	if v, ok := tr.LoadValues[tr.Ops[1].Seq]; !ok || v != 42 {
-		t.Errorf("LoadValues[first load] = %d,%v", v, ok)
 	}
 }
 
@@ -210,18 +210,6 @@ func TestExecuteDeterministic(t *testing.T) {
 		if t1.Ops[i] != t2.Ops[i] {
 			t.Fatalf("op %d differs: %v vs %v", i, t1.Ops[i], t2.Ops[i])
 		}
-	}
-}
-
-func TestArchStateClone(t *testing.T) {
-	s := NewArchState()
-	s.Regs[3] = 7
-	s.StoreWord(0x40, 9)
-	c := s.Clone()
-	c.Regs[3] = 8
-	c.StoreWord(0x40, 10)
-	if s.Regs[3] != 7 || s.LoadWord(0x40) != 9 {
-		t.Error("Clone aliases original state")
 	}
 }
 

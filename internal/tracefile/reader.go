@@ -13,8 +13,8 @@ import (
 )
 
 // Decoded is the result of reading one trace file: its header and the
-// reconstructed in-memory trace. Trace.Final and Trace.LoadValues are nil
-// when the file omitted the optional oracle chunks.
+// reconstructed in-memory trace. Trace.Final is nil when the file omitted
+// the optional final-state chunk.
 type Decoded struct {
 	Header Header
 	Trace  *prog.Trace
@@ -155,10 +155,11 @@ func Decode(rd io.Reader) (*Decoded, error) {
 		if binary.LittleEndian.Uint32(crc[:]) != crc32.Checksum(body, crcTable) {
 			return nil, &Error{Offset: start, Section: chunkSection(typ), Err: ErrChecksum}
 		}
-		known := typ == chunkProgram || typ == chunkOps || typ == chunkLoadValues ||
-			typ == chunkFinal || typ == chunkEnd
+		known := typ == chunkProgram || typ == chunkOps || typ == chunkFinal || typ == chunkEnd
 		if !known {
-			continue // forward compatibility: skip chunk types we do not know
+			// Forward compatibility: skip chunk types we do not know, and
+			// the retired load-value chunk older writers emitted.
+			continue
 		}
 		if typ < stage || (typ == stage && typ != chunkOps) {
 			return nil, &Error{Offset: start, Section: chunkSection(typ),
@@ -177,10 +178,6 @@ func Decode(rd io.Reader) (*Decoded, error) {
 			}
 			digest = fnvSum(digest, body)
 			if err := decodeOps(p, d.Trace, &prevAddr); err != nil {
-				return nil, err
-			}
-		case chunkLoadValues:
-			if err := decodeLoadValues(p, d.Trace); err != nil {
 				return nil, err
 			}
 		case chunkFinal:
@@ -224,8 +221,6 @@ func chunkSection(typ byte) string {
 		return "program"
 	case chunkOps:
 		return "ops"
-	case chunkLoadValues:
-		return "load-values"
 	case chunkFinal:
 		return "final-state"
 	case chunkEnd:
@@ -437,8 +432,8 @@ func decodeMemImage(p *payload, m map[uint64]int64) error {
 
 // decodeOps reconstructs one ops chunk. Each op stores only its dynamic
 // facts (PC; address delta for memory ops; outcome for branches); the
-// rest of the DynInst is rebuilt from the static instruction exactly as
-// prog.ExecuteContext builds it, so a round-tripped stream is
+// rest of the DynInst comes from the static instruction's isa.Inst.Dyn,
+// the constructor prog.ExecuteContext uses, so a round-tripped stream is
 // field-identical to the in-memory original.
 func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 	count, err := p.uvarint()
@@ -461,25 +456,9 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 		if in.Halt {
 			return p.errAt(fmt.Errorf("op references halt pseudo-instruction at pc %d", pcU))
 		}
-		pc := int(pcU)
-		d := isa.DynInst{
-			Seq:  uint64(len(tr.Ops)),
-			PC:   pc,
-			Op:   in.Op,
-			Fn:   in.Fn,
-			Cond: in.Cond,
-			Dst:  in.Dst,
-			Imm:  in.Imm,
-			Size: 8,
-		}
-		next := pc + 1
+		d := in.Dyn(uint64(len(tr.Ops)), int(pcU))
 		switch {
 		case in.Op.IsMem():
-			if in.Op == isa.OpLoad {
-				d.Src1, d.Src2 = in.Base, isa.RegNone
-			} else {
-				d.Src1, d.Src2 = in.Base, in.Src1 // base, data
-			}
 			delta, err := p.varint()
 			if err != nil {
 				return err
@@ -487,7 +466,6 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 			d.Addr = *prevAddr + uint64(delta)
 			*prevAddr = d.Addr
 		case in.Op == isa.OpBranch:
-			d.Src1, d.Src2 = in.Src1, isa.RegNone
 			t, err := p.byte()
 			if err != nil {
 				return err
@@ -497,45 +475,11 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 			}
 			d.Taken = t == 1
 			if d.Taken {
-				next = in.Target
+				d.Next = in.Target
 			}
-		case in.Op == isa.OpNop:
-			d.Src1, d.Src2 = isa.RegNone, isa.RegNone
-		default: // ALU classes
-			d.Src1, d.Src2 = in.Src1, in.Src2
 		}
-		d.Next = next
 		tr.Ops = append(tr.Ops, d)
 	}
-	return nil
-}
-
-func decodeLoadValues(p *payload, tr *prog.Trace) error {
-	n, err := p.uvarint()
-	if err != nil {
-		return err
-	}
-	if int64(n) > int64(p.remaining())/2 {
-		return p.errAt(fmt.Errorf("load-value count %d exceeds payload", n))
-	}
-	lv := make(map[uint64]int64, n)
-	seq := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		seq += d
-		if seq >= uint64(len(tr.Ops)) {
-			return p.errAt(fmt.Errorf("load value for seq %d outside stream (%d ops)", seq, len(tr.Ops)))
-		}
-		v, err := p.varint()
-		if err != nil {
-			return err
-		}
-		lv[seq] = v
-	}
-	tr.LoadValues = lv
 	return nil
 }
 

@@ -3,8 +3,8 @@
 //
 // A trace file is the portable form of one prog.Trace: the static program
 // (instructions plus initial register/memory image), the dynamic μop
-// stream, and the functional oracle (final architectural state and
-// per-load values) that the audit golden model cross-checks against. Any
+// stream, and the final architectural state that the audit golden model's
+// end-of-run check compares against. Any
 // trace the simulator can run can be exported, and any well-formed file
 // can be imported and fed back through ballerino.PrepareTrace /
 // Config.Trace, the batch API, the content-addressed TraceCache and
@@ -20,8 +20,8 @@
 //	          length  uvarint payload byte count
 //	          payload
 //	          crc     uint32 LE CRC-32C of the payload
-//	        in fixed order: program, ops (repeated), load-values
-//	        (optional), final-state (optional), end
+//	        in fixed order: program, ops (repeated), final-state
+//	        (optional), end
 //
 // The header is JSON so the file identifies itself to tools that know
 // nothing of the chunk encoding: format name, format version, the ISA
@@ -37,7 +37,7 @@
 // zigzag delta against the previous memory op, and branches add a one-byte
 // outcome. Everything else — opcode, function, condition, operand
 // registers, immediate, next-PC — is reconstructed from the program chunk
-// on import, exactly as the functional interpreter built it. Ops are
+// on import by the constructor the functional interpreter uses. Ops are
 // framed in chunks of OpsPerChunk so both writer and reader stream at
 // constant memory, and every chunk carries its own CRC so corruption is
 // localised to a byte offset. The end chunk seals the file with the total
@@ -69,13 +69,14 @@ const Magic = "ballerino.trace\x00"
 // the unit of streaming and of corruption localisation.
 const OpsPerChunk = 8192
 
-// Chunk types, in their required file order.
+// Chunk types, in their required file order. Type 0x03 stays reserved:
+// older writers emitted a per-load value chunk there, which readers skip
+// like any unknown type so those files still import.
 const (
-	chunkProgram    = 0x01 // static program: insts + initial reg/mem image
-	chunkOps        = 0x02 // dynamic μop stream slice (repeated)
-	chunkLoadValues = 0x03 // seq → loaded value oracle (optional)
-	chunkFinal      = 0x04 // final architectural state oracle (optional)
-	chunkEnd        = 0x7F // total op count + stream digest; must be last
+	chunkProgram = 0x01 // static program: insts + initial reg/mem image
+	chunkOps     = 0x02 // dynamic μop stream slice (repeated)
+	chunkFinal   = 0x04 // final architectural state oracle (optional)
+	chunkEnd     = 0x7F // total op count + stream digest; must be last
 )
 
 // Decode-size sanity caps. They bound allocation before a length or count

@@ -58,9 +58,6 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatalf("op %d differs:\n got %+v\nwant %+v", i, got.Ops[i], tr.Ops[i])
 				}
 			}
-			if !reflect.DeepEqual(got.LoadValues, tr.LoadValues) {
-				t.Fatalf("load values not identical after round trip")
-			}
 			if got.Final == nil || got.Final.Regs != tr.Final.Regs ||
 				!reflect.DeepEqual(got.Final.Mem, tr.Final.Mem) {
 				t.Fatalf("final state not identical after round trip")
@@ -251,7 +248,7 @@ func TestWriterOrderEnforced(t *testing.T) {
 	if err := w2.WriteFinal(tr.Final); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.WriteLoadValues(tr.LoadValues); err == nil {
-		t.Fatalf("load-values after final accepted")
+	if err := w2.WriteOps(tr.Ops); err == nil {
+		t.Fatalf("ops after final accepted")
 	}
 }

@@ -14,8 +14,7 @@ import (
 )
 
 // Encode writes tr as one complete trace file under header h: program,
-// dynamic stream, and — when present — the load-value and final-state
-// oracles.
+// dynamic stream, and — when present — the final-state oracle.
 func Encode(wr io.Writer, h Header, tr *prog.Trace) error {
 	w, err := NewWriter(wr, h)
 	if err != nil {
@@ -27,11 +26,6 @@ func Encode(wr io.Writer, h Header, tr *prog.Trace) error {
 	if err := w.WriteOps(tr.Ops); err != nil {
 		return err
 	}
-	if len(tr.LoadValues) > 0 {
-		if err := w.WriteLoadValues(tr.LoadValues); err != nil {
-			return err
-		}
-	}
 	if tr.Final != nil {
 		if err := w.WriteFinal(tr.Final); err != nil {
 			return err
@@ -42,8 +36,8 @@ func Encode(wr io.Writer, h Header, tr *prog.Trace) error {
 
 // A Writer streams one trace to an io.Writer in ballerino.trace/v1
 // format. Call the section methods in file order — WriteProgram, then
-// WriteOps (any number of times), then optionally WriteLoadValues and
-// WriteFinal — and Close to seal the end chunk. The writer holds at most
+// WriteOps (any number of times), then optionally WriteFinal — and Close
+// to seal the end chunk. The writer holds at most
 // one chunk in memory, so exporting a multi-million-μop trace streams at
 // constant memory.
 type Writer struct {
@@ -201,8 +195,8 @@ func appendMemImage(buf []byte, mem map[uint64]int64) []byte {
 // stream order; the writer frames them into chunks of OpsPerChunk. Only
 // the dynamic facts are encoded — PC, effective address (as a delta
 // against the previous memory op) and branch outcome; everything a μop
-// inherits from its static instruction is reconstructed from the program
-// chunk on import, exactly as the functional interpreter built it.
+// inherits from its static instruction is rebuilt from the program chunk
+// on import by isa.Inst.Dyn, the functional interpreter's constructor.
 func (w *Writer) WriteOps(ops []isa.DynInst) error {
 	if err := w.advance(chunkOps); err != nil {
 		return err
@@ -247,30 +241,6 @@ func (w *Writer) flushOps() {
 	w.opsWritten += uint64(w.pending)
 	w.pending = 0
 	w.buf = w.buf[:0]
-}
-
-// WriteLoadValues encodes the seq → loaded-value oracle used by the
-// audit golden model. Optional; pass the trace's LoadValues map.
-func (w *Writer) WriteLoadValues(lv map[uint64]int64) error {
-	if err := w.advance(chunkLoadValues); err != nil {
-		return err
-	}
-	seqs := make([]uint64, 0, len(lv))
-	for s := range lv {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	buf := w.buf[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
-	prev := uint64(0)
-	for _, s := range seqs {
-		buf = binary.AppendUvarint(buf, s-prev)
-		buf = binary.AppendUvarint(buf, zigzag(lv[s]))
-		prev = s
-	}
-	w.writeChunk(chunkLoadValues, buf)
-	w.buf = buf[:0]
-	return w.err
 }
 
 // WriteFinal encodes the final architectural state oracle. Optional.

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -82,12 +83,39 @@ const (
 // accounted for by PredictIPC). Invalid specs panic: operating points are
 // program constants, not runtime input.
 func Calibrated(name string, chains []CalibChain, p Params) Workload {
-	p = p.withDefaults()
+	return calibKernel(name, chains).Build(p)
+}
+
+// calibKernel is the catalogue entry of one operating point.
+func calibKernel(name string, chains []CalibChain) Kernel {
+	return Kernel{
+		Name:    name,
+		Kind:    "calibrated",
+		Emulate: "queuing-model operating point (Carroll–Lin closed form)",
+		Extra:   true,
+		build:   func(b *prog.Builder, p Params) { calibrated(b, chains, p) },
+	}
+}
+
+// calibKernels lists the CalibPresets entries in name order.
+func calibKernels() []Kernel {
+	names := make([]string, 0, len(CalibPresets))
+	for name := range CalibPresets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	ks := make([]Kernel, len(names))
+	for i, name := range names {
+		ks[i] = calibKernel(name, CalibPresets[name])
+	}
+	return ks
+}
+
+// calibrated emits the loop of K chain-major dependence chains.
+func calibrated(b *prog.Builder, chains []CalibChain, p Params) {
 	if len(chains) == 0 {
 		panic("workload: calibrated kernel needs at least one chain")
 	}
-	b := prog.NewBuilder(name)
-
 	// Shared constant registers for value-stable chain steps, set in the
 	// initial register image so the loop body starts at instruction zero.
 	one, fone, fzero := isa.R(5), isa.F(5), isa.F(6)
@@ -159,13 +187,6 @@ func Calibrated(name string, chains []CalibChain, p Params) Workload {
 	}
 	b.AddImm(cnt, cnt, -1)
 	b.Branch(isa.BrNEZ, cnt, top)
-
-	return Workload{
-		Name:    name,
-		Kind:    "calibrated",
-		Emulate: "queuing-model operating point (Carroll–Lin closed form)",
-		Program: b.Build(),
-	}
 }
 
 // OccupancyChains derives the chain count that drives one op class's
@@ -277,13 +298,4 @@ var CalibPresets = map[string][]CalibChain{
 		{Op: isa.OpIntDiv, Len: 1},
 		{Op: isa.OpIntALU, Len: 4},
 	},
-}
-
-// CalibratedByName builds one of CalibPresets.
-func CalibratedByName(name string, p Params) (Workload, error) {
-	chains, ok := CalibPresets[name]
-	if !ok {
-		return Workload{}, fmt.Errorf("workload: unknown calibrated preset %q", name)
-	}
-	return Calibrated(name, chains, p), nil
 }

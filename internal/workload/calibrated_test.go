@@ -8,20 +8,20 @@ import (
 	"repro/internal/prog"
 )
 
-// TestCalibratedPresetsBuild: every catalogued operating point builds a
-// valid program, is reachable through ByName (via Extras), and executes
+// TestCalibratedPresetsBuild: every catalogued operating point is an
+// extra reachable through ByName, builds a valid program, and executes
 // under the functional interpreter without halting early.
 func TestCalibratedPresetsBuild(t *testing.T) {
 	for name, chains := range CalibPresets {
-		w, err := CalibratedByName(name, Params{})
+		if k, ok := Lookup(name); !ok || !k.Extra {
+			t.Errorf("%s: not an extra in the catalogue", name)
+		}
+		w, err := ByName(name, Params{})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: not reachable via ByName: %v", name, err)
 		}
 		if w.Name != name || w.Kind != "calibrated" || w.Program == nil {
 			t.Errorf("%s: malformed workload %+v", name, w)
-		}
-		if _, err := ByName(name, Params{}); err != nil {
-			t.Errorf("%s: not reachable via ByName: %v", name, err)
 		}
 		tr := prog.MustExecute(w.Program, 5_000)
 		if len(tr.Ops) != 5_000 {
@@ -31,7 +31,7 @@ func TestCalibratedPresetsBuild(t *testing.T) {
 			t.Errorf("%s: prediction rejected the preset: %v", name, err)
 		}
 	}
-	if _, err := CalibratedByName("calib-nope", Params{}); err == nil {
+	if _, err := ByName("calib-nope", Params{}); err == nil {
 		t.Error("unknown preset name accepted")
 	}
 }

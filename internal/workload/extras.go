@@ -1,43 +1,15 @@
 package workload
 
 import (
-	"sort"
-
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
 
-// Extras returns additional kernels that are available by name (ByName)
-// but intentionally excluded from All(): the figure calibration in
-// EXPERIMENTS.md is recorded against the standard suite, and these exist
-// for exploration and for exercising behaviours the suite does not
-// emphasise (data-dependent tree descent, shifting strides, butterfly
-// permutations).
-func Extras(p Params) []Workload {
-	ws := []Workload{
-		BSTSearch(p),
-		ShellSortPass(p),
-		Butterfly(p),
-	}
-	// The calibrated operating points (calibrated.go): queuing-model-
-	// derived kernels whose steady-state IPC has a closed-form prediction.
-	names := make([]string, 0, len(CalibPresets))
-	for name := range CalibPresets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws = append(ws, Calibrated(name, CalibPresets[name], p))
-	}
-	return ws
-}
-
-// BSTSearch emulates search-tree descent (mcf's spanning-tree walks,
+// bstSearch emulates search-tree descent (mcf's spanning-tree walks,
 // database index probes): a chain of dependent loads whose direction is a
 // data-dependent branch at every level. It mixes pointer-chase-like serial
 // loads with leela-like hard branches.
-func BSTSearch(p Params) Workload {
-	p = p.withDefaults()
+func bstSearch(b *prog.Builder, p Params) {
 	nodes := p.Footprint / 32
 	if nodes < 64 {
 		nodes = 64
@@ -47,7 +19,6 @@ func BSTSearch(p Params) Workload {
 	for n := int64(1); n < nodes; n *= 2 {
 		depth++
 	}
-	b := prog.NewBuilder("bst-search")
 	base := int64(heapBase)
 	// Node i occupies 32 bytes: key, left index, right index, payload.
 	r := lcg(31)
@@ -87,21 +58,13 @@ func BSTSearch(p Params) Workload {
 	b.Bind(cont)
 	b.AddImm(i, i, -1)
 	b.Branch(isa.BrNEZ, i, top)
-	return Workload{
-		Name:    "bst-search",
-		Kind:    "memory-bound",
-		Emulate: "index-probe/tree-descent with data-dependent branching",
-		Program: b.Build(),
-	}
 }
 
-// ShellSortPass emulates in-place sorting passes (exchange2's permutation
+// shellSortPass emulates in-place sorting passes (exchange2's permutation
 // work): gap-strided compare-and-swap sweeps with data-dependent branches
 // and store→load reuse at shrinking strides.
-func ShellSortPass(p Params) Workload {
-	p = p.withDefaults()
+func shellSortPass(b *prog.Builder, p Params) {
 	elems := int64(32 << 10 / 8) // 32 KiB working set, L1-straddling
-	b := prog.NewBuilder("shellsort-pass")
 	base := int64(heapBase)
 	r := lcg(61)
 	for i := int64(0); i < elems; i++ {
@@ -135,21 +98,13 @@ func ShellSortPass(p Params) Workload {
 		b.Branch(isa.BrNEZ, isa.R(9), pass)
 	}
 	b.Jmp(outer)
-	return Workload{
-		Name:    "shellsort-pass",
-		Kind:    "mixed",
-		Emulate: "exchange2-like compare-and-swap sweeps",
-		Program: b.Build(),
-	}
 }
 
-// Butterfly emulates FFT-style butterfly passes: power-of-two strided
+// butterfly emulates FFT-style butterfly passes: power-of-two strided
 // paired accesses with an FP multiply-accumulate core — wide, shallow
 // dependence structure over a cache-straddling footprint.
-func Butterfly(p Params) Workload {
-	p = p.withDefaults()
+func butterfly(b *prog.Builder, p Params) {
 	elems := int64(64 << 10 / 8) // 64 KiB, L2-resident
-	b := prog.NewBuilder("butterfly")
 	base := int64(heapBase)
 	r := lcg(71)
 	for i := int64(0); i < elems; i++ {
@@ -183,10 +138,4 @@ func Butterfly(p Params) Workload {
 		b.Branch(isa.BrNEZ, isa.R(4), stage)
 	}
 	b.Jmp(outer)
-	return Workload{
-		Name:    "butterfly",
-		Kind:    "compute-bound",
-		Emulate: "FFT-like strided butterflies with FP MAC cores",
-		Program: b.Build(),
-	}
 }

@@ -8,8 +8,11 @@ import (
 )
 
 func TestExtrasExecute(t *testing.T) {
-	for _, w := range Extras(Params{Footprint: 1 << 20}) {
-		w := w
+	for _, k := range Kernels() {
+		if !k.Extra {
+			continue
+		}
+		w := k.Build(Params{Footprint: 1 << 20})
 		t.Run(w.Name, func(t *testing.T) {
 			tr := prog.MustExecute(w.Program, 20000)
 			if len(tr.Ops) < 10000 {
@@ -33,17 +36,17 @@ func TestExtrasReachableByName(t *testing.T) {
 }
 
 func TestExtrasNotInStandardSuite(t *testing.T) {
-	for _, w := range All(Params{}) {
-		for _, e := range Extras(Params{}) {
-			if w.Name == e.Name {
-				t.Errorf("extra kernel %q leaked into the calibrated suite", e.Name)
+	for _, w := range Names(false) {
+		for _, e := range Names(true) {
+			if w == e {
+				t.Errorf("extra kernel %q leaked into the calibrated suite", e)
 			}
 		}
 	}
 }
 
 func TestBSTSearchDescends(t *testing.T) {
-	w := BSTSearch(Params{Footprint: 1 << 20})
+	w := kernel(t, "bst-search", Params{Footprint: 1 << 20})
 	tr := prog.MustExecute(w.Program, 20000)
 	// The node pointer loads must visit many distinct nodes (a real walk,
 	// not a self-loop), and both descend directions must occur.
@@ -69,7 +72,7 @@ func TestBSTSearchDescends(t *testing.T) {
 }
 
 func TestShellSortSwapsAndSkips(t *testing.T) {
-	w := ShellSortPass(Params{})
+	w := kernel(t, "shellsort-pass", Params{})
 	tr := prog.MustExecute(w.Program, 30000)
 	var stores, branches, taken int
 	for _, d := range tr.Ops {
@@ -92,7 +95,7 @@ func TestShellSortSwapsAndSkips(t *testing.T) {
 }
 
 func TestButterflyStridedPairs(t *testing.T) {
-	w := Butterfly(Params{})
+	w := kernel(t, "butterfly", Params{})
 	tr := prog.MustExecute(w.Program, 30000)
 	// Stores must come in (ptr, ptr+half*8) pairs: the distance between a
 	// pair's addresses is one of the three stage strides.

@@ -5,13 +5,15 @@
 // machine and is parameterised to occupy a distinct point in the workload
 // property space that drives the paper's figures: ready-at-dispatch
 // fraction, dependence-chain shape, cache-miss behaviour, and branch
-// predictability. The mapping from kernel to the SPEC behaviour it stands in
-// for is documented on each constructor and in DESIGN.md.
+// predictability. The catalogue (Kernels) is one table of every kernel's
+// name, behaviour class, SPEC stand-in and constructor; each constructor
+// documents the SPEC behaviour it emulates, as does DESIGN.md. ByName
+// builds only the kernel it returns.
 package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -21,9 +23,90 @@ import (
 // behaviour it emulates.
 type Workload struct {
 	Name    string
-	Kind    string // "memory-bound", "compute-bound", "branchy", "mixed"
+	Kind    string // "memory-bound", "compute-bound", "branchy", "mixed", "calibrated"
 	Emulate string // which SPEC application's behaviour this stands in for
 	Program *prog.Program
+}
+
+// Kernel is one catalogue entry: a kernel's metadata and the constructor
+// of its program. Listing the catalogue builds nothing; Build does.
+type Kernel struct {
+	Name    string
+	Kind    string
+	Emulate string
+	// Extra marks a kernel that runs by name but stays out of the
+	// standard suite every figure-level experiment averages over: the
+	// figure calibration in EXPERIMENTS.md is recorded against that
+	// suite, and the extras exist for exploration and for behaviours it
+	// does not emphasise (data-dependent tree descent, shifting strides,
+	// butterfly permutations, queuing-model operating points).
+	Extra bool
+	// build emits the program into a builder named after the kernel;
+	// Build hands it defaulted parameters.
+	build func(b *prog.Builder, p Params)
+}
+
+// catalogue is every runnable kernel: the standard suite sorted by name,
+// then the extras, the calibrated operating points last in name order.
+// Listings, sweep's default rows and the experiments' columns follow this
+// order.
+var catalogue = append([]Kernel{
+	{Name: "branchy", Kind: "branchy", Emulate: "leela/gcc-like data-dependent control flow", build: branchy},
+	{Name: "compute", Kind: "compute-bound", Emulate: "namd/povray-like dense FP chains", build: compute},
+	{Name: "hash-join", Kind: "memory-bound", Emulate: "xalancbmk/gobmk-like random hash probes", build: hashJoin},
+	{Name: "mixed", Kind: "mixed", Emulate: "gcc/perlbench-like phase alternation", build: mixed},
+	{Name: "pointer-chase", Kind: "memory-bound", Emulate: "mcf/omnetpp-like serial pointer chasing", build: pointerChase},
+	{Name: "reduction", Kind: "compute-bound", Emulate: "deepsjeng-like parallel reductions with merges", build: reduction},
+	{Name: "sparse-trees", Kind: "memory-bound", Emulate: "omnetpp/gcc-like independent gathers with short consumer trees", build: sparseTrees},
+	{Name: "stencil", Kind: "memory-bound", Emulate: "cactuBSSN/bwaves-like stencil sweeps", build: stencil},
+	{Name: "store-load", Kind: "mixed", Emulate: "exchange2/perlbench-like store→load communication", build: storeLoad},
+	{Name: "stream", Kind: "memory-bound", Emulate: "lbm/libquantum-like streaming sweeps", build: stream},
+	{Name: "bst-search", Kind: "memory-bound", Emulate: "index-probe/tree-descent with data-dependent branching", Extra: true, build: bstSearch},
+	{Name: "shellsort-pass", Kind: "mixed", Emulate: "exchange2-like compare-and-swap sweeps", Extra: true, build: shellSortPass},
+	{Name: "butterfly", Kind: "compute-bound", Emulate: "FFT-like strided butterflies with FP MAC cores", Extra: true, build: butterfly},
+}, calibKernels()...)
+
+// Kernels lists the catalogue in order; the slice is the caller's.
+func Kernels() []Kernel { return slices.Clone(catalogue) }
+
+// Lookup returns the catalogue entry with the given name.
+func Lookup(name string) (Kernel, bool) {
+	for _, k := range catalogue {
+		if k.Name == name {
+			return k, true
+		}
+	}
+	return Kernel{}, false
+}
+
+// Names lists, in catalogue order, the names of the standard suite
+// (extra false) or of the extras (extra true).
+func Names(extra bool) []string {
+	var names []string
+	for _, k := range catalogue {
+		if k.Extra == extra {
+			names = append(names, k.Name)
+		}
+	}
+	return names
+}
+
+// Build constructs the kernel's program.
+func (k Kernel) Build(p Params) Workload {
+	b := prog.NewBuilder(k.Name)
+	k.build(b, p.withDefaults())
+	return Workload{Name: k.Name, Kind: k.Kind, Emulate: k.Emulate, Program: b.Build()}
+}
+
+// ByName builds the named kernel, and no other, or returns an error
+// listing the valid names.
+func ByName(name string, p Params) (Workload, error) {
+	k, ok := Lookup(name)
+	if !ok {
+		return Workload{}, fmt.Errorf("workload: unknown kernel %q (valid: %v)",
+			name, append(Names(false), Names(true)...))
+	}
+	return k.Build(p), nil
 }
 
 // Params tunes kernel sizes. The zero value is replaced by DefaultParams.
@@ -62,17 +145,15 @@ func (l *lcg) next() uint64 {
 // Kept away from 0 so nil-ish addresses are never valid data.
 const heapBase = 1 << 20
 
-// PointerChase emulates mcf/omnetpp: a serial linked-list traversal over a
+// pointerChase emulates mcf/omnetpp: a serial linked-list traversal over a
 // footprint far larger than the LLC. Nearly every load misses and each load
 // feeds the next (dependence chains of length 1 per node, zero ILP),
 // so performance is dominated by memory latency tolerance.
-func PointerChase(p Params) Workload {
-	p = p.withDefaults()
+func pointerChase(b *prog.Builder, p Params) {
 	nodes := p.Footprint / 64
 	if nodes < 16 {
 		nodes = 16
 	}
-	b := prog.NewBuilder("pointer-chase")
 
 	// Build a random cyclic permutation of node indices so the chase
 	// visits every node once per cycle with no spatial locality.
@@ -104,24 +185,16 @@ func PointerChase(p Params) Workload {
 	b.Load(ptr, ptr, 0)  // ptr = ptr->next  (serialising load)
 	b.AddImm(cnt, cnt, -1)
 	b.Branch(isa.BrNEZ, cnt, top)
-	return Workload{
-		Name:    "pointer-chase",
-		Kind:    "memory-bound",
-		Emulate: "mcf/omnetpp-like serial pointer chasing",
-		Program: b.Build(),
-	}
 }
 
-// Stream emulates lbm/libquantum: long unit-stride array sweeps
+// stream emulates lbm/libquantum: long unit-stride array sweeps
 // (a[i] = b[i]*k + c[i]) with abundant ready-at-dispatch μops, perfect
 // branch prediction and prefetcher-friendly access patterns.
-func Stream(p Params) Workload {
-	p = p.withDefaults()
+func stream(b *prog.Builder, p Params) {
 	elems := p.Footprint / (3 * 8)
 	if elems < 64 {
 		elems = 64
 	}
-	b := prog.NewBuilder("stream")
 	baseA := int64(heapBase)
 	baseB := baseA + elems*8
 	baseC := baseB + elems*8
@@ -161,20 +234,12 @@ func Stream(p Params) Workload {
 	b.Sub(isa.R(6), i, n)
 	b.Branch(isa.BrNEZ, isa.R(6), top)
 	b.Jmp(outer) // sweep again forever; simulator truncates
-	return Workload{
-		Name:    "stream",
-		Kind:    "memory-bound",
-		Emulate: "lbm/libquantum-like streaming sweeps",
-		Program: b.Build(),
-	}
 }
 
-// Compute emulates namd/povray: dense floating-point arithmetic with
+// compute emulates namd/povray: dense floating-point arithmetic with
 // several independent medium-length dependence chains per iteration and a
 // tiny, cache-resident data footprint.
-func Compute(p Params) Workload {
-	p = p.withDefaults()
-	b := prog.NewBuilder("compute")
+func compute(b *prog.Builder, p Params) {
 	const elems = 512 // 4 KiB, L1-resident
 	base := int64(heapBase)
 	r := lcg(7)
@@ -226,20 +291,12 @@ func Compute(p Params) Workload {
 	b.Sub(isa.R(4), i, n)
 	b.Branch(isa.BrNEZ, isa.R(4), top)
 	b.Jmp(outer)
-	return Workload{
-		Name:    "compute",
-		Kind:    "compute-bound",
-		Emulate: "namd/povray-like dense FP chains",
-		Program: b.Build(),
-	}
 }
 
-// Branchy emulates leela/gcc-like control-heavy code: data-dependent
+// branchy emulates leela/gcc-like control-heavy code: data-dependent
 // branches derived from a hash of loop state, small working set,
 // short dependence chains with frequent chain splits at the condition.
-func Branchy(p Params) Workload {
-	p = p.withDefaults()
-	b := prog.NewBuilder("branchy")
+func branchy(b *prog.Builder, p Params) {
 	const elems = 2048 // 16 KiB, L1-resident
 	base := int64(heapBase)
 	r := lcg(31337)
@@ -276,25 +333,17 @@ func Branchy(p Params) Workload {
 	b.AddImm(i, i, -1)
 	b.Branch(isa.BrNEZ, i, top)
 	b.Jmp(outer)
-	return Workload{
-		Name:    "branchy",
-		Kind:    "branchy",
-		Emulate: "leela/gcc-like data-dependent control flow",
-		Program: b.Build(),
-	}
 }
 
-// HashJoin emulates xalancbmk/gobmk hash-table probes: random-index gathers
+// hashJoin emulates xalancbmk/gobmk hash-table probes: random-index gathers
 // over an L2/L3-sized table followed by dependent arithmetic and occasional
 // stores, creating irregular misses with moderate MLP.
-func HashJoin(p Params) Workload {
-	p = p.withDefaults()
+func hashJoin(b *prog.Builder, p Params) {
 	tableBytes := p.Footprint / 4
 	if tableBytes < 4096 {
 		tableBytes = 4096
 	}
 	slots := tableBytes / 8
-	b := prog.NewBuilder("hash-join")
 	base := int64(heapBase)
 	r := lcg(555)
 	for i := int64(0); i < slots; i++ {
@@ -333,24 +382,16 @@ func HashJoin(p Params) Workload {
 	b.Store(v, saddr, 0) // spill the match into the scratch buffer
 	b.AddImm(i, i, -1)
 	b.Branch(isa.BrNEZ, i, top)
-	return Workload{
-		Name:    "hash-join",
-		Kind:    "memory-bound",
-		Emulate: "xalancbmk/gobmk-like random hash probes",
-		Program: b.Build(),
-	}
 }
 
-// Stencil emulates cactuBSSN/bwaves: a 1-D three-point stencil with
+// stencil emulates cactuBSSN/bwaves: a 1-D three-point stencil with
 // neighbouring reuse — mostly cache-friendly with periodic cold misses at
 // line boundaries and wide, shallow dependence structure.
-func Stencil(p Params) Workload {
-	p = p.withDefaults()
+func stencil(b *prog.Builder, p Params) {
 	elems := p.Footprint / (2 * 8)
 	if elems < 64 {
 		elems = 64
 	}
-	b := prog.NewBuilder("stencil")
 	src := int64(heapBase)
 	dst := src + elems*8
 	r := lcg(2024)
@@ -384,21 +425,13 @@ func Stencil(p Params) Workload {
 	b.Sub(isa.R(5), i, n)
 	b.Branch(isa.BrNEZ, isa.R(5), top)
 	b.Jmp(outer)
-	return Workload{
-		Name:    "stencil",
-		Kind:    "memory-bound",
-		Emulate: "cactuBSSN/bwaves-like stencil sweeps",
-		Program: b.Build(),
-	}
 }
 
-// Reduction emulates deepsjeng-like accumulation patterns: parallel partial
+// reduction emulates deepsjeng-like accumulation patterns: parallel partial
 // sums that periodically merge (chain merges of Figure 1), with an
 // L2-resident footprint.
-func Reduction(p Params) Workload {
-	p = p.withDefaults()
+func reduction(b *prog.Builder, p Params) {
 	const elems = 16 << 10 // 128 KiB, L2-resident
-	b := prog.NewBuilder("reduction")
 	base := int64(heapBase)
 	r := lcg(4242)
 	for i := int64(0); i < elems; i++ {
@@ -443,22 +476,14 @@ func Reduction(p Params) Workload {
 	b.Add(s2, s2, s3)
 	b.Add(s0, s0, s2)
 	b.Jmp(outer)
-	return Workload{
-		Name:    "reduction",
-		Kind:    "compute-bound",
-		Emulate: "deepsjeng-like parallel reductions with merges",
-		Program: b.Build(),
-	}
 }
 
-// StoreLoad emulates exchange2/perlbench-like code with frequent
+// storeLoad emulates exchange2/perlbench-like code with frequent
 // store-to-load communication through memory via different registers —
 // the memory-order-violation trainer for the MDP and the workload where
 // M-dependence-aware steering matters most.
-func StoreLoad(p Params) Workload {
-	p = p.withDefaults()
+func storeLoad(b *prog.Builder, p Params) {
 	const elems = 1024 // 8 KiB scratch, L1-resident
-	b := prog.NewBuilder("store-load")
 	base := int64(heapBase)
 	for i := int64(0); i < elems; i++ {
 		b.SetMem(uint64(base+i*8), i)
@@ -514,29 +539,21 @@ func StoreLoad(p Params) Workload {
 	b.AddImm(i, i, -1)
 	b.Branch(isa.BrNEZ, i, top)
 	b.Jmp(outer)
-	return Workload{
-		Name:    "store-load",
-		Kind:    "mixed",
-		Emulate: "exchange2/perlbench-like store→load communication",
-		Program: b.Build(),
-	}
 }
 
-// SparseTrees emulates omnetpp/gcc pointer-rich data processing: each
+// sparseTrees emulates omnetpp/gcc pointer-rich data processing: each
 // iteration launches several independent gathers over an L3-overflowing
 // table, each feeding a short dependent tree (2–3 ops). This is the
 // paper's central workload premise — "most of the time dynamic
 // instructions are derived from a bunch of short-length DCs" that stall on
 // long-latency loads — and is where clustered schedulers need many P-IQs
 // (or P-IQ sharing) to track all the in-flight chains.
-func SparseTrees(p Params) Workload {
-	p = p.withDefaults()
+func sparseTrees(b *prog.Builder, p Params) {
 	tableBytes := p.Footprint / 2
 	if tableBytes < 4096 {
 		tableBytes = 4096
 	}
 	slots := tableBytes / 8
-	b := prog.NewBuilder("sparse-trees")
 	base := int64(heapBase)
 	r := lcg(909)
 	for i := int64(0); i < slots; i++ {
@@ -569,20 +586,12 @@ func SparseTrees(p Params) Workload {
 	}
 	b.AddImm(i, i, -1)
 	b.Branch(isa.BrNEZ, i, top)
-	return Workload{
-		Name:    "sparse-trees",
-		Kind:    "memory-bound",
-		Emulate: "omnetpp/gcc-like independent gathers with short consumer trees",
-		Program: b.Build(),
-	}
 }
 
 // Mixed alternates phases of streaming, pointer chasing and compute,
 // emulating phase-changing applications (gcc, perlbench). It is the kernel
 // where Ballerino's adaptive P-IQ sharing pays off.
-func Mixed(p Params) Workload {
-	p = p.withDefaults()
-	b := prog.NewBuilder("mixed")
+func mixed(b *prog.Builder, p Params) {
 	// Phase A data: stream arrays (L3-overflowing).
 	elems := p.Footprint / (4 * 8)
 	if elems < 256 {
@@ -659,45 +668,4 @@ func Mixed(p Params) Workload {
 	b.AddImm(i, i, -1)
 	b.Branch(isa.BrNEZ, i, phaseC)
 	b.Jmp(outer)
-	return Workload{
-		Name:    "mixed",
-		Kind:    "mixed",
-		Emulate: "gcc/perlbench-like phase alternation",
-		Program: b.Build(),
-	}
-}
-
-// All returns every standard kernel with the given parameters, sorted by
-// name. This is the suite every figure-level experiment averages over.
-func All(p Params) []Workload {
-	ws := []Workload{
-		PointerChase(p),
-		Stream(p),
-		Compute(p),
-		Branchy(p),
-		HashJoin(p),
-		Stencil(p),
-		Reduction(p),
-		StoreLoad(p),
-		SparseTrees(p),
-		Mixed(p),
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
-	return ws
-}
-
-// ByName returns the named kernel — from the standard suite or the extras
-// (see Extras) — or an error listing the valid names.
-func ByName(name string, p Params) (Workload, error) {
-	all := append(All(p), Extras(p)...)
-	for _, w := range all {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	var names []string
-	for _, w := range all {
-		names = append(names, w.Name)
-	}
-	return Workload{}, fmt.Errorf("workload: unknown kernel %q (valid: %v)", name, names)
 }

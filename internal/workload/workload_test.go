@@ -9,6 +9,16 @@ import (
 
 const testOps = 20000
 
+// kernel builds the named catalogue kernel.
+func kernel(t *testing.T, name string, p Params) Workload {
+	t.Helper()
+	w, err := ByName(name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func opMix(t *testing.T, w Workload) map[isa.Op]int {
 	t.Helper()
 	tr := prog.MustExecute(w.Program, testOps)
@@ -23,8 +33,11 @@ func opMix(t *testing.T, w Workload) map[isa.Op]int {
 }
 
 func TestAllKernelsExecute(t *testing.T) {
-	for _, w := range All(Params{}) {
-		w := w
+	for _, k := range Kernels() {
+		if k.Extra {
+			continue
+		}
+		w := k.Build(Params{})
 		t.Run(w.Name, func(t *testing.T) {
 			tr := prog.MustExecute(w.Program, testOps)
 			if len(tr.Ops) == 0 {
@@ -43,22 +56,29 @@ func TestAllKernelsExecute(t *testing.T) {
 	}
 }
 
+// TestAllReturnsSortedUniqueNames: the catalogue lists the standard suite
+// first, sorted by name, then the extras; every name is unique and every
+// entry carries its metadata.
 func TestAllReturnsSortedUniqueNames(t *testing.T) {
-	ws := All(Params{})
-	if len(ws) < 9 {
-		t.Fatalf("expected at least 9 kernels, got %d", len(ws))
+	ks := Kernels()
+	std := len(Names(false))
+	if std < 9 {
+		t.Fatalf("expected at least 9 standard kernels, got %d", std)
 	}
 	seen := map[string]bool{}
-	for i, w := range ws {
-		if seen[w.Name] {
-			t.Errorf("duplicate kernel name %q", w.Name)
+	for i, k := range ks {
+		if seen[k.Name] {
+			t.Errorf("duplicate kernel name %q", k.Name)
 		}
-		seen[w.Name] = true
-		if i > 0 && ws[i-1].Name >= w.Name {
-			t.Errorf("kernels not sorted: %q >= %q", ws[i-1].Name, w.Name)
+		seen[k.Name] = true
+		if k.Extra != (i >= std) {
+			t.Errorf("kernel %d (%s) Extra = %v, want the standard suite first", i, k.Name, k.Extra)
 		}
-		if w.Kind == "" || w.Emulate == "" {
-			t.Errorf("kernel %q missing metadata", w.Name)
+		if i > 0 && i < std && ks[i-1].Name >= k.Name {
+			t.Errorf("standard kernels not sorted: %q >= %q", ks[i-1].Name, k.Name)
+		}
+		if k.Kind == "" || k.Emulate == "" {
+			t.Errorf("kernel %q missing metadata", k.Name)
 		}
 	}
 }
@@ -77,7 +97,7 @@ func TestPointerChaseIsSerial(t *testing.T) {
 	// Property: consecutive chase loads form a serial dependence chain —
 	// each pointer load's base register was written by the previous
 	// pointer load.
-	w := PointerChase(Params{Footprint: 1 << 20})
+	w := kernel(t, "pointer-chase", Params{Footprint: 1 << 20})
 	tr := prog.MustExecute(w.Program, testOps)
 	var chaseLoads int
 	for _, d := range tr.Ops {
@@ -103,7 +123,7 @@ func TestPointerChaseIsSerial(t *testing.T) {
 }
 
 func TestStreamIsSequential(t *testing.T) {
-	w := Stream(Params{Footprint: 1 << 20})
+	w := kernel(t, "stream", Params{Footprint: 1 << 20})
 	tr := prog.MustExecute(w.Program, testOps)
 	// Loads from the same static PC should advance by a constant stride
 	// (the unroll factor × 8 bytes).
@@ -130,7 +150,7 @@ func TestStreamIsSequential(t *testing.T) {
 }
 
 func TestStoreLoadHasMemoryDependences(t *testing.T) {
-	w := StoreLoad(Params{})
+	w := kernel(t, "store-load", Params{})
 	tr := prog.MustExecute(w.Program, testOps)
 	// Property: a large fraction of loads read an address stored by a
 	// recent older store (store→load distance ≤ 8 μops).
@@ -155,7 +175,7 @@ func TestStoreLoadHasMemoryDependences(t *testing.T) {
 }
 
 func TestBranchyHasHardBranches(t *testing.T) {
-	w := Branchy(Params{})
+	w := kernel(t, "branchy", Params{})
 	tr := prog.MustExecute(w.Program, testOps)
 	// Find the conditional branch PC with the most balanced outcome.
 	taken := map[int]int{}
@@ -188,21 +208,22 @@ func TestBranchyHasHardBranches(t *testing.T) {
 func TestKernelOpMixes(t *testing.T) {
 	// Coarse sanity on instruction class fractions per kernel.
 	cases := []struct {
-		w           Workload
+		name        string
+		p           Params
 		minLoadFrac float64
 		maxLoadFrac float64
 		wantsFP     bool
 		wantsStores bool
 	}{
-		{PointerChase(Params{Footprint: 1 << 20}), 0.25, 0.6, false, false},
-		{Stream(Params{Footprint: 1 << 20}), 0.1, 0.35, true, true},
-		{Compute(Params{}), 0.1, 0.35, true, false},
-		{HashJoin(Params{Footprint: 1 << 20}), 0.05, 0.3, false, true},
-		{Reduction(Params{}), 0.2, 0.45, false, false},
+		{"pointer-chase", Params{Footprint: 1 << 20}, 0.25, 0.6, false, false},
+		{"stream", Params{Footprint: 1 << 20}, 0.1, 0.35, true, true},
+		{"compute", Params{}, 0.1, 0.35, true, false},
+		{"hash-join", Params{Footprint: 1 << 20}, 0.05, 0.3, false, true},
+		{"reduction", Params{}, 0.2, 0.45, false, false},
 	}
 	for _, tc := range cases {
-		t.Run(tc.w.Name, func(t *testing.T) {
-			mix := opMix(t, tc.w)
+		t.Run(tc.name, func(t *testing.T) {
+			mix := opMix(t, kernel(t, tc.name, tc.p))
 			var total int
 			for _, n := range mix {
 				total += n
@@ -223,7 +244,7 @@ func TestKernelOpMixes(t *testing.T) {
 }
 
 func TestMixedHasPhases(t *testing.T) {
-	w := Mixed(Params{Footprint: 1 << 20})
+	w := kernel(t, "mixed", Params{Footprint: 1 << 20})
 	tr := prog.MustExecute(w.Program, 60000)
 	// Detect at least two distinct phases: a window dominated by loads+stores
 	// and a window with no memory ops at all (the FP burst).

@@ -43,16 +43,17 @@ func (t *Trace) Workload() string { return t.tr.Program.Name }
 // Config against before accepting the trace.
 func (t *Trace) Key() string { return t.key }
 
+// Resident-size estimates behind Trace.sizeBytes.
+const (
+	opBytes  = int64(unsafe.Sizeof(isa.DynInst{}))
+	mapEntry = 48 // rough per-entry cost of a map[uint64]int64
+)
+
 // sizeBytes estimates the trace's resident size for the cache budget: the
-// μop stream itself plus the oracle state (final memory image and
-// load-value map) retained for golden-model verification.
+// μop stream plus both memory images it holds — the program's initial
+// image and the final-state oracle retained for golden-model verification.
 func (t *Trace) sizeBytes() int64 {
-	const (
-		opBytes  = int64(unsafe.Sizeof(isa.DynInst{}))
-		mapEntry = 48 // rough per-entry cost of a map[uint64]int64
-	)
-	n := int64(len(t.tr.Ops)) * opBytes
-	n += int64(len(t.tr.LoadValues)) * mapEntry
+	n := int64(len(t.tr.Ops))*opBytes + int64(len(t.tr.Program.InitMem))*mapEntry
 	if t.tr.Final != nil {
 		n += int64(len(t.tr.Final.Mem)) * mapEntry
 	}
@@ -108,15 +109,29 @@ func (c Config) ContentKey() (string, error) {
 // once built, so pointer identity is content identity). The dynamic
 // length covers warm-up plus the measured budget.
 func traceKey(cfg Config) string {
-	fp := cfg.FootprintBytes
-	if fp == 0 {
-		fp = workload.DefaultParams.Footprint
-	}
 	ops := cfg.MaxOps + cfg.WarmupOps
 	if cfg.Custom != nil {
 		return fmt.Sprintf("custom:%s@%p|ops:%d", cfg.Custom.Name(), cfg.Custom.Internal(), ops)
 	}
-	return fmt.Sprintf("wl:%s|fp:%d|ops:%d", cfg.Workload, fp, ops)
+	return kernelTraceKey(cfg.Workload, cfg.footprint(), ops)
+}
+
+// kernelTraceKey formats the content key of a named kernel's trace — the
+// key traceKey derives and every trace file carries. Custom-program
+// traces are exported under their program name too: pointer identity
+// does not survive a process, so on re-import they behave like a named
+// workload whose program travels with the file.
+func kernelTraceKey(wl string, fp int64, ops int) string {
+	return fmt.Sprintf("wl:%s|fp:%d|ops:%d", wl, fp, ops)
+}
+
+// footprint is the data footprint the config's kernel is built with:
+// FootprintBytes, or the workload default when that is zero.
+func (c Config) footprint() int64 {
+	if c.FootprintBytes == 0 {
+		return workload.DefaultParams.Footprint
+	}
+	return c.FootprintBytes
 }
 
 // resolveProgram returns the μop program a (defaulted) config simulates.
@@ -175,10 +190,6 @@ func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 	if err != nil {
 		return nil, simErr("trace", err)
 	}
-	fp := rc.FootprintBytes
-	if fp == 0 {
-		fp = workload.DefaultParams.Footprint
-	}
 	wl := rc.Workload
 	if rc.Custom != nil {
 		wl = program.Name
@@ -187,7 +198,7 @@ func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 		key: traceKey(rc.Config),
 		tr:  tr,
 		wl:  wl,
-		fp:  fp,
+		fp:  rc.footprint(),
 		ops: rc.MaxOps + rc.WarmupOps,
 	}, nil
 }

@@ -17,7 +17,7 @@ import (
 
 // WriteTrace records t to w in ballerino.trace/v1 format. The file
 // carries the full replay bundle — static program, dynamic μop stream,
-// and the final-state/load-value oracles the Audit golden model checks
+// and the final state the Audit golden model's end-of-run check compares
 // against — plus t's content key, so a re-imported trace dedups
 // byte-stably against an in-memory generation of the same kernel.
 func WriteTrace(w io.Writer, t *Trace) error {
@@ -25,7 +25,7 @@ func WriteTrace(w io.Writer, t *Trace) error {
 		Workload:       t.wl,
 		FootprintBytes: t.fp,
 		Ops:            t.ops,
-		TraceKey:       fileTraceKey(t.wl, t.fp, t.ops),
+		TraceKey:       kernelTraceKey(t.wl, t.fp, t.ops),
 		Generator:      "ballerino",
 	}
 	if err := tracefile.Encode(w, h, t.tr); err != nil {
@@ -48,15 +48,6 @@ func ExportTrace(path string, t *Trace) error {
 		return &SimError{Stage: "tracefile", Workload: t.wl, Err: err}
 	}
 	return nil
-}
-
-// fileTraceKey is the content key a trace file carries: the same string
-// traceKey derives for a named kernel. Custom-program traces are exported
-// under their program name too — pointer identity does not survive a
-// process, so on re-import they behave like a named workload whose
-// program travels with the file.
-func fileTraceKey(wl string, fp int64, ops int) string {
-	return fmt.Sprintf("wl:%s|fp:%d|ops:%d", wl, fp, ops)
 }
 
 // ReadTrace decodes one ballerino.trace/v1 stream into an immutable Trace
@@ -83,7 +74,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if len(d.Trace.Ops) > h.Ops {
 		return nil, fail("stream has %d ops, more than the header budget %d", len(d.Trace.Ops), h.Ops)
 	}
-	if want := fileTraceKey(h.Workload, h.FootprintBytes, h.Ops); h.TraceKey != want {
+	if want := kernelTraceKey(h.Workload, h.FootprintBytes, h.Ops); h.TraceKey != want {
 		return nil, fail("header trace key %q does not match its identity fields (%q)", h.TraceKey, want)
 	}
 	return &Trace{

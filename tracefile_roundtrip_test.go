@@ -3,6 +3,7 @@ package ballerino_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -148,5 +149,62 @@ func TestTraceCacheImportDedup(t *testing.T) {
 	}
 	if first.Key() != mem.Key() {
 		t.Errorf("cold-import key %q != generated key %q", first.Key(), mem.Key())
+	}
+}
+
+// TestLoadValueChunkFixture: testdata/compute-2000.balltrace was written
+// when exports still carried the load-value chunk (type 0x03), by
+// `ballsim -workload compute -ops 2000 -footprint 65536 -trace-out`. It
+// must still import — the reader skips that chunk like any unknown type —
+// and replay to the canonical manifest of a generated run of the same
+// config. A fresh export of that config seals the same end chunk (op
+// count and stream digest) without the load-value chunk.
+func TestLoadValueChunkFixture(t *testing.T) {
+	const fixture = "testdata/compute-2000.balltrace"
+	cfg := ballerino.Config{Workload: "compute", MaxOps: 2000, FootprintBytes: 1 << 16}
+	imp, err := ballerino.ImportTrace(fixture)
+	if err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	gen, err := ballerino.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ballerino.Run(imp.Configure(ballerino.Config{}))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	b1, err := gen.Manifest.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := rep.Manifest.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Errorf("fixture replay manifest differs from a generated run:\n%s\n%s", b1, b2)
+	}
+
+	old, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := ballerino.PrepareTrace(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	if err := ballerino.WriteTrace(&fresh, mem); err != nil {
+		t.Fatal(err)
+	}
+	// The end chunk: type, length, uvarint(2000), 8-byte digest, CRC.
+	const endChunk = 1 + 1 + 2 + 8 + 4
+	if got, want := fresh.Bytes()[fresh.Len()-endChunk:], old[len(old)-endChunk:]; !bytes.Equal(got, want) {
+		t.Errorf("fresh export's end chunk %x differs from the fixture's %x", got, want)
+	}
+	if fresh.Len() >= len(old) {
+		t.Errorf("fresh export is %d bytes, not smaller than the fixture's %d: load-value chunk still written",
+			fresh.Len(), len(old))
 	}
 }

@@ -409,33 +409,23 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 
 	// Trace acquisition. A pre-generated Config.Trace (PrepareTrace, or the
 	// shared cache under RunAll) is used as-is — it is immutable and safe to
-	// share across concurrent runs. Otherwise the trace is generated here;
-	// generation dominates start-up for multi-million-μop jobs, so it
-	// honours ctx too: a served job cancelled while still generating aborts
-	// instead of waiting out the interpreter.
+	// share across concurrent runs. Otherwise the trace is generated here,
+	// exactly as PrepareTrace would; generation dominates start-up for
+	// multi-million-μop jobs, so it honours ctx too: a served job cancelled
+	// while still generating aborts instead of waiting out the interpreter.
+	t := cfg.Trace
+	if t == nil {
+		var terr error
+		if t, terr = prepareResolved(ctx, rc); terr != nil {
+			return nil, terr
+		}
+	}
+	trace := t.tr
+	program := trace.Program
 	// Lifecycle span, when the caller threaded one through ctx (the
 	// serving stack does; library callers usually don't, and the nil-safe
 	// span API makes that free).
 	sp := span.FromContext(ctx)
-	var trace *prog.Trace
-	if cfg.Trace != nil {
-		trace = cfg.Trace.tr
-	} else {
-		program, perr := resolveProgram(rc.Config)
-		if perr != nil {
-			return nil, simErr("config", perr)
-		}
-		gsp := sp.Child("trace.generate")
-		gsp.SetAttr("workload", cfg.Workload)
-		var terr error
-		trace, terr = generateTrace(ctx, program, rc.Config)
-		gsp.Fail(terr)
-		gsp.End()
-		if terr != nil {
-			return nil, simErr("trace", terr)
-		}
-	}
-	program := trace.Program
 	if cfg.Custom != nil {
 		cfg.Workload = program.Name
 	}

@@ -24,12 +24,6 @@ type BatchOptions struct {
 	// Parallelism 1 executes the batch strictly sequentially; results are
 	// identical at every setting, only wall time changes.
 	Parallelism int
-	// TraceCacheBytes is the byte budget of the batch's trace cache
-	// (0 = DefaultTraceCacheBytes). Ignored when Cache is set.
-	TraceCacheBytes int64
-	// DisableTraceCache turns trace sharing off: every run generates its
-	// own trace, as RunContext does standalone.
-	DisableTraceCache bool
 	// Cache, when non-nil, shares a caller-owned TraceCache across
 	// batches instead of building a fresh one per call.
 	Cache *TraceCache
@@ -40,7 +34,7 @@ type Batch struct {
 	// Results has one entry per submitted Config, in submission order.
 	Results []RunResult
 	// Cache reports the trace cache's hit/miss/singleflight counters for
-	// the campaign (zero value when the cache was disabled).
+	// the campaign.
 	Cache CacheStats
 }
 
@@ -73,15 +67,15 @@ func (b *Batch) FirstErr() error {
 //     *SimError with Stage "canceled".
 func RunAll(ctx context.Context, cfgs []Config, opts BatchOptions) *Batch {
 	cache := opts.Cache
-	if cache == nil && !opts.DisableTraceCache {
-		cache = NewTraceCache(opts.TraceCacheBytes)
+	if cache == nil {
+		cache = NewTraceCache(0)
 	}
 	jobs := make([]campaign.Job[*Result], len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
 		jobs[i] = func(ctx context.Context) (*Result, error) {
 			run := cfg
-			if cache != nil && run.Trace == nil {
+			if run.Trace == nil {
 				t, err := cache.Prepare(ctx, run)
 				if err != nil {
 					return nil, err
@@ -109,8 +103,6 @@ func RunAll(ctx context.Context, cfgs []Config, opts BatchOptions) *Batch {
 		}
 		b.Results[i] = rr
 	}
-	if cache != nil {
-		b.Cache = cache.Stats()
-	}
+	b.Cache = cache.Stats()
 	return b
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // normalizeManifest zeroes the wall-time identity fields — the only
-// fields allowed to differ between a sequential and a parallel campaign.
+// fields allowed to differ between two runs of one config.
 func normalizeManifest(t *testing.T, m *obs.Manifest) []byte {
 	t.Helper()
 	if m == nil {
@@ -39,24 +39,24 @@ func batchConfigs() []Config {
 
 // TestRunAllDeterministicManifests is the batch API's core guarantee: a
 // campaign at parallelism 4 (with trace sharing) produces byte-identical
-// manifests to the same campaign at parallelism 1 with the cache off,
-// modulo wall-time fields.
+// manifests to standalone RunContext runs of the same configs, each of
+// which generates its own trace, modulo wall-time fields.
 func TestRunAllDeterministicManifests(t *testing.T) {
 	cfgs := batchConfigs()
-	seq := RunAll(context.Background(), cfgs, BatchOptions{Parallelism: 1, DisableTraceCache: true})
 	par := RunAll(context.Background(), cfgs, BatchOptions{Parallelism: 4})
-	if err := seq.FirstErr(); err != nil {
-		t.Fatalf("sequential campaign: %v", err)
-	}
 	if err := par.FirstErr(); err != nil {
 		t.Fatalf("parallel campaign: %v", err)
 	}
-	for i := range cfgs {
-		sb := normalizeManifest(t, seq.Results[i].Result.Manifest)
+	for i, cfg := range cfgs {
+		solo, err := RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("standalone %s/%s: %v", cfg.Arch, cfg.Workload, err)
+		}
+		sb := normalizeManifest(t, solo.Manifest)
 		pb := normalizeManifest(t, par.Results[i].Result.Manifest)
 		if string(sb) != string(pb) {
-			t.Errorf("slot %d (%s/%s): parallel manifest differs from sequential:\nseq: %s\npar: %s",
-				i, cfgs[i].Arch, cfgs[i].Workload, sb, pb)
+			t.Errorf("slot %d (%s/%s): batch manifest differs from standalone run:\nsolo:  %s\nbatch: %s",
+				i, cfg.Arch, cfg.Workload, sb, pb)
 		}
 	}
 }

@@ -20,31 +20,6 @@ import (
 	"repro/internal/exp"
 )
 
-type figure struct {
-	name string
-	run  func(exp.Options) (*exp.Table, error)
-}
-
-var figures = []figure{
-	{"3c", exp.Fig3c},
-	{"4", exp.Fig4},
-	{"6a", exp.Fig6a},
-	{"6b", exp.Fig6b},
-	{"11", exp.Fig11},
-	{"12", exp.Fig12},
-	{"13", exp.Fig13},
-	{"14", exp.Fig14},
-	{"15", exp.Fig15},
-	{"16", exp.Fig16},
-	{"17a", exp.Fig17a},
-	{"17b", exp.Fig17b},
-	{"17c", exp.Fig17c},
-	{"mdp", exp.MDPImpact},
-	{"ablations", exp.Ablations},
-	{"casino-search", exp.CasinoSearch},
-	{"calib", exp.Calibration},
-}
-
 func main() {
 	var (
 		figs = flag.String("fig", "all", "comma-separated figure ids (3c,4,6a,6b,11,12,13,14,15,16,17a,17b,17c,mdp,ablations,casino-search,calib,cpistack,tables) or 'all'")
@@ -77,19 +52,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	for _, f := range figures {
-		if !all && !want[f.name] {
+	for _, f := range exp.Figures {
+		if !all && !want[f.Name] {
 			continue
 		}
 		start := time.Now()
-		t, err := f.run(o)
+		t, err := f.Run(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.name, err)
+			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
 		fmt.Println(t.String())
-		writeCSV(*csv, "fig"+f.name, t)
-		fmt.Printf("(figure %s took %.1fs)\n\n", f.name, time.Since(start).Seconds())
+		writeCSV(*csv, "fig"+f.Name, t)
+		fmt.Printf("(figure %s took %.1fs)\n\n", f.Name, time.Since(start).Seconds())
 	}
 
 	// The CPI-stack comparison renders one table per tier-1 kernel, so it

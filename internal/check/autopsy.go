@@ -57,8 +57,8 @@ type Autopsy struct {
 	FetchIndex int
 	TraceLen   int
 
-	ROBLen      int
-	DecodeDepth int
+	ROBLen       int
+	DecodeDepth  int
 	LQLen, LQCap int
 	SQLen, SQCap int
 

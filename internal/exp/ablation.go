@@ -43,27 +43,40 @@ func ablationVariants() []ablationVariant {
 	}
 }
 
-// runMachine simulates one (machine, workload) pair and returns IPC.
-func runMachine(arch config.Arch, opt config.Options, wl string, o Options) (float64, error) {
-	opt.MaxCycles = uint64(o.Ops) * 200
-	m, err := config.NewMachine(arch, 8, opt)
-	if err != nil {
-		return 0, err
+// runMachine simulates arch under every option set in opts over every
+// workload and returns IPC by [variant][workload]. It covers the machine
+// settings the public Config does not carry (technique flags, S-IQ
+// geometry, prefetch, CASINO cascades). Each kernel is built and
+// interpreted once per call, and its trace replayed under every variant.
+func runMachine(arch config.Arch, opts []config.Options, o Options) ([][]float64, error) {
+	ipcs := make([][]float64, len(opts))
+	for v := range ipcs {
+		ipcs[v] = make([]float64, len(o.Workloads))
 	}
-	w, err := workload.ByName(wl, workload.Params{Footprint: o.Footprint})
-	if err != nil {
-		return 0, err
+	for i, wl := range o.Workloads {
+		w, err := workload.ByName(wl, workload.Params{})
+		if err != nil {
+			return nil, err
+		}
+		tr := prog.MustExecute(w.Program, o.Ops)
+		for v, opt := range opts {
+			opt.MaxCycles = uint64(o.Ops) * 200
+			m, err := config.NewMachine(arch, 8, opt)
+			if err != nil {
+				return nil, err
+			}
+			p, err := pipeline.New(m.Pipeline, tr.Ops, m.Factory)
+			if err != nil {
+				return nil, err
+			}
+			s, err := p.Run(uint64(len(tr.Ops)))
+			if err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", arch, wl, err)
+			}
+			ipcs[v][i] = s.IPC()
+		}
 	}
-	tr := prog.MustExecute(w.Program, o.Ops)
-	p, err := pipeline.New(m.Pipeline, tr.Ops, m.Factory)
-	if err != nil {
-		return 0, err
-	}
-	s, err := p.Run(uint64(len(tr.Ops)))
-	if err != nil {
-		return 0, fmt.Errorf("%s on %s: %w", arch, wl, err)
-	}
-	return s.IPC(), nil
+	return ipcs, nil
 }
 
 // Ablations quantifies the design choices DESIGN.md calls out: each
@@ -75,27 +88,25 @@ func Ablations(o Options) (*Table, error) {
 		Columns: []string{"rel_ipc"},
 		Notes:   "each row disables or perturbs one design decision",
 	}
-	var baseline map[string]float64
-	for _, v := range ablationVariants() {
-		ipcs := map[string]float64{}
-		for _, wl := range o.Workloads {
-			ipc, err := runMachine(config.ArchBallerino, v.opt, wl, o)
-			if err != nil {
-				return nil, err
-			}
-			ipcs[wl] = ipc
-		}
-		if v.name == "default" {
-			baseline = ipcs
-		}
+	variants := ablationVariants()
+	opts := make([]config.Options, len(variants))
+	for v, av := range variants {
+		opts[v] = av.opt
+	}
+	ipcs, err := runMachine(config.ArchBallerino, opts, o)
+	if err != nil {
+		return nil, err
+	}
+	baseline := ipcs[0] // the "default" variant
+	for v, av := range variants {
 		var ratios []float64
-		for wl, ipc := range ipcs {
-			if b := baseline[wl]; b > 0 {
+		for i, ipc := range ipcs[v] {
+			if b := baseline[i]; b > 0 {
 				ratios = append(ratios, ipc/b)
 			}
 		}
 		t.Rows = append(t.Rows, Row{
-			Label:  v.name,
+			Label:  av.name,
 			Values: map[string]float64{"rel_ipc": ballerino.GeoMean(ratios)},
 		})
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"sort"
 
 	"repro"
@@ -32,11 +31,8 @@ func Calibration(o Options) (*Table, error) {
 			MaxOps: o.Ops - warm, WarmupOps: warm,
 		}
 	}
-	batch := ballerino.RunAll(context.Background(), cfgs, ballerino.BatchOptions{
-		Parallelism: o.Parallelism,
-		Cache:       traces,
-	})
-	if err := batch.FirstErr(); err != nil {
+	results, err := o.runAll(cfgs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -50,7 +46,7 @@ func Calibration(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		meas := batch.Results[i].Result.IPC
+		meas := results[i].IPC
 		t.Rows = append(t.Rows, Row{Label: name, Values: map[string]float64{
 			"predicted": pred,
 			"measured":  meas,

@@ -33,18 +33,19 @@ func CasinoSearch(o Options) (*Table, error) {
 		Columns: []string{"geomean_ipc"},
 		Notes:   "paper picks 8/40/40/8 as the best-performing combination",
 	}
-	for _, sizes := range casinoCandidates() {
-		var ipcs []float64
-		for _, wl := range o.Workloads {
-			ipc, err := runMachine(config.ArchCASINO, config.Options{CasinoSizes: sizes}, wl, o)
-			if err != nil {
-				return nil, err
-			}
-			ipcs = append(ipcs, ipc)
-		}
+	cands := casinoCandidates()
+	opts := make([]config.Options, len(cands))
+	for c, sizes := range cands {
+		opts[c] = config.Options{CasinoSizes: sizes}
+	}
+	ipcs, err := runMachine(config.ArchCASINO, opts, o)
+	if err != nil {
+		return nil, err
+	}
+	for c, sizes := range cands {
 		t.Rows = append(t.Rows, Row{
 			Label:  fmt.Sprint(sizes),
-			Values: map[string]float64{"geomean_ipc": ballerino.GeoMean(ipcs)},
+			Values: map[string]float64{"geomean_ipc": ballerino.GeoMean(ipcs[c])},
 		})
 	}
 	return t, nil

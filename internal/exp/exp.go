@@ -8,7 +8,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro"
@@ -18,8 +17,6 @@ import (
 type Options struct {
 	// Ops is the dynamic μop budget per simulation (default 150000).
 	Ops int
-	// Footprint overrides the kernel data footprint (default 8 MiB).
-	Footprint int64
 	// Workloads restricts the kernel set (default: all).
 	Workloads []string
 	// Parallelism bounds the simulations in flight per experiment
@@ -46,30 +43,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) cfg(arch, wl string) ballerino.Config {
-	return ballerino.Config{
-		Arch:           arch,
-		Workload:       wl,
-		FootprintBytes: o.Footprint,
-		MaxOps:         o.Ops,
-	}
-}
-
-func (o Options) run(arch, wl string) (*ballerino.Result, error) {
-	cfg := o.cfg(arch, wl)
-	if t, err := traces.Prepare(context.Background(), cfg); err == nil {
-		cfg.Trace = t
-	}
-	return ballerino.Run(cfg)
-}
-
-// suite runs arch over every workload as one campaign — each simulation
-// is independent and deterministic — and returns results by workload.
-func (o Options) suite(arch string) (map[string]*ballerino.Result, error) {
-	cfgs := make([]ballerino.Config, len(o.Workloads))
-	for i, wl := range o.Workloads {
-		cfgs[i] = o.cfg(arch, wl)
-	}
+// runAll executes cfgs as one campaign on the shared trace cache — each
+// simulation is independent and deterministic — and returns the results
+// in submission order.
+func (o Options) runAll(cfgs []ballerino.Config) ([]*ballerino.Result, error) {
 	batch := ballerino.RunAll(context.Background(), cfgs, ballerino.BatchOptions{
 		Parallelism: o.Parallelism,
 		Cache:       traces,
@@ -77,18 +54,31 @@ func (o Options) suite(arch string) (map[string]*ballerino.Result, error) {
 	if err := batch.FirstErr(); err != nil {
 		return nil, err
 	}
-	out := make(map[string]*ballerino.Result, len(o.Workloads))
+	out := make([]*ballerino.Result, len(cfgs))
 	for i, rr := range batch.Results {
-		out[o.Workloads[i]] = rr.Result
+		out[i] = rr.Result
 	}
 	return out, nil
 }
 
-// geoSpeedup returns the geometric-mean ratio of res IPC over base IPC.
-func geoSpeedup(res, base map[string]*ballerino.Result) float64 {
+// suite runs tmpl on every workload at the experiment's μop budget and
+// returns the results in o.Workloads order.
+func (o Options) suite(tmpl ballerino.Config) ([]*ballerino.Result, error) {
+	cfgs := make([]ballerino.Config, len(o.Workloads))
+	for i, wl := range o.Workloads {
+		cfgs[i] = tmpl
+		cfgs[i].Workload = wl
+		cfgs[i].MaxOps = o.Ops
+	}
+	return o.runAll(cfgs)
+}
+
+// geoSpeedup returns the geometric-mean ratio of res IPC over base IPC,
+// pairing the two suites workload by workload.
+func geoSpeedup(res, base []*ballerino.Result) float64 {
 	var ratios []float64
-	for wl, r := range res {
-		if b, ok := base[wl]; ok && b.IPC > 0 {
+	for i, r := range res {
+		if b := base[i]; b.IPC > 0 {
 			ratios = append(ratios, r.IPC/b.IPC)
 		}
 	}
@@ -151,14 +141,4 @@ func (t *Table) Get(label, column string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// sortedKeys returns map keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

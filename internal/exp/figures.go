@@ -6,6 +6,35 @@ import (
 	"repro"
 )
 
+// Figure is one single-table experiment and the id cmd/experiments
+// selects it by.
+type Figure struct {
+	Name string
+	Run  func(Options) (*Table, error)
+}
+
+// Figures lists every single-table experiment in the order
+// cmd/experiments prints them.
+var Figures = []Figure{
+	{"3c", Fig3c},
+	{"4", Fig4},
+	{"6a", Fig6a},
+	{"6b", Fig6b},
+	{"11", Fig11},
+	{"12", Fig12},
+	{"13", Fig13},
+	{"14", Fig14},
+	{"15", Fig15},
+	{"16", Fig16},
+	{"17a", Fig17a},
+	{"17b", Fig17b},
+	{"17c", Fig17c},
+	{"mdp", MDPImpact},
+	{"ablations", Ablations},
+	{"casino-search", CasinoSearch},
+	{"calib", Calibration},
+}
+
 // fig11Archs is the Figure 11 comparison set.
 var fig11Archs = []string{"CES", "CASINO", "FXA", "Ballerino", "Ballerino-12", "OoO", "OoO-oldest"}
 
@@ -15,18 +44,25 @@ var fig13Variants = []string{"CES", "CES+MDA", "Ballerino-step1", "Ballerino-ste
 // Fig3c reproduces Figure 3c: the average decode-to-issue delay breakdown
 // of InO, CES, CASINO and OoO, per instruction class (Ld, LdC, Rst).
 func Fig3c(o Options) (*Table, error) {
+	return delayTable(o, &Table{
+		Title: "Figure 3c — decode-to-issue cycle breakdown (avg over kernels)",
+		Notes: "rows are arch/class; paper shows the same four microarchitectures",
+	}, []string{"InO", "CES", "CASINO", "OoO"}, []string{"Ld", "LdC", "Rst", "All"})
+}
+
+// delayTable fills t with one arch/class row per architecture and
+// instruction class: the decode-to-issue breakdown averaged over the
+// suite, weighting each run by its μop count in the class. A class no run
+// issued gets no row.
+func delayTable(o Options, t *Table, archs, classes []string) (*Table, error) {
 	o = o.withDefaults()
-	t := &Table{
-		Title:   "Figure 3c — decode-to-issue cycle breakdown (avg over kernels)",
-		Columns: []string{"dec→disp", "disp→rdy", "rdy→issue", "total"},
-		Notes:   "rows are arch/class; paper shows the same four microarchitectures",
-	}
-	for _, arch := range []string{"InO", "CES", "CASINO", "OoO"} {
-		suite, err := o.suite(arch)
+	t.Columns = []string{"dec→disp", "disp→rdy", "rdy→issue", "total"}
+	for _, arch := range archs {
+		suite, err := o.suite(ballerino.Config{Arch: arch})
 		if err != nil {
 			return nil, err
 		}
-		for _, cls := range []string{"Ld", "LdC", "Rst", "All"} {
+		for _, cls := range classes {
 			var d2d, d2r, r2i, n float64
 			for _, r := range suite {
 				d := r.Delay[cls]
@@ -62,15 +98,15 @@ func Fig4(o Options) (*Table, error) {
 		Columns: []string{"steer_dc", "alloc_rdy", "alloc_nrdy", "stall_rdy", "stall_nrdy", "speedup"},
 		Notes:   "paper: 27% steer along DCs; Allocate and Stall dominated by Ready μops",
 	}
-	ino, err := o.suite("InO")
+	ino, err := o.suite(ballerino.Config{Arch: "InO"})
 	if err != nil {
 		return nil, err
 	}
-	for _, wl := range o.Workloads {
-		r, err := o.run("CES", wl)
-		if err != nil {
-			return nil, err
-		}
+	ces, err := o.suite(ballerino.Config{Arch: "CES"})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range ces {
 		c := r.SchedCounters
 		total := float64(c["steer_dc"] + c["steer_m"] + c["alloc_ready"] + c["alloc_nonready"] +
 			c["stall_ready"] + c["stall_nonready"])
@@ -78,14 +114,14 @@ func Fig4(o Options) (*Table, error) {
 			continue
 		}
 		t.Rows = append(t.Rows, Row{
-			Label: wl,
+			Label: o.Workloads[i],
 			Values: map[string]float64{
 				"steer_dc":   float64(c["steer_dc"]+c["steer_m"]) / total,
 				"alloc_rdy":  float64(c["alloc_ready"]) / total,
 				"alloc_nrdy": float64(c["alloc_nonready"]) / total,
 				"stall_rdy":  float64(c["stall_ready"]) / total,
 				"stall_nrdy": float64(c["stall_nonready"]) / total,
-				"speedup":    r.IPC / ino[wl].IPC,
+				"speedup":    r.IPC / ino[i].IPC,
 			},
 		})
 	}
@@ -101,18 +137,18 @@ func Fig6a(o Options) (*Table, error) {
 		Columns: []string{"issue", "stall_mdep", "stall_data", "empty"},
 		Notes:   "paper: ≈9% of issue stalls from M-dependent loads; heads issue only ≈6% of cycles",
 	}
-	for _, wl := range o.Workloads {
-		r, err := o.run("Ballerino-step2", wl)
-		if err != nil {
-			return nil, err
-		}
+	step2, err := o.suite(ballerino.Config{Arch: "Ballerino-step2"})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range step2 {
 		c := r.SchedCounters
 		total := float64(c["head_issue"] + c["head_stall_mdep"] + c["head_stall_dep"] + c["head_empty"])
 		if total == 0 {
 			continue
 		}
 		t.Rows = append(t.Rows, Row{
-			Label: wl,
+			Label: o.Workloads[i],
 			Values: map[string]float64{
 				"issue":      float64(c["head_issue"]) / total,
 				"stall_mdep": float64(c["head_stall_mdep"]) / total,
@@ -133,26 +169,18 @@ func Fig6b(o Options) (*Table, error) {
 		Columns: []string{"depth6", "depth12", "depth24"},
 		Notes:   "paper: sensitive to the count, much less to the size",
 	}
-	ino, err := o.suite("InO")
+	ino, err := o.suite(ballerino.Config{Arch: "InO"})
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range []int{3, 5, 7, 9, 11} {
 		row := Row{Label: fmt.Sprintf("%d P-IQs", n), Values: map[string]float64{}}
 		for _, depth := range []int{6, 12, 24} {
-			var ratios []float64
-			for _, wl := range o.Workloads {
-				r, err := ballerino.Run(ballerino.Config{
-					Arch: "Ballerino-step2", Workload: wl,
-					FootprintBytes: o.Footprint, MaxOps: o.Ops,
-					NumPIQs: n, PIQDepth: depth,
-				})
-				if err != nil {
-					return nil, err
-				}
-				ratios = append(ratios, r.IPC/ino[wl].IPC)
+			suite, err := o.suite(ballerino.Config{Arch: "Ballerino-step2", NumPIQs: n, PIQDepth: depth})
+			if err != nil {
+				return nil, err
 			}
-			row.Values[fmt.Sprintf("depth%d", depth)] = ballerino.GeoMean(ratios)
+			row.Values[fmt.Sprintf("depth%d", depth)] = geoSpeedup(suite, ino)
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -168,23 +196,20 @@ func Fig11(o Options) (*Table, error) {
 		Columns: append(append([]string{}, o.Workloads...), "GEOMEAN"),
 		Notes:   "paper: CES 2.4×, CASINO 2.1×, FXA 2.8×, Ballerino 2.7×, Ballerino-12 ≈98% of OoO; oldest-first +2%",
 	}
-	base, err := o.suite("InO")
+	base, err := o.suite(ballerino.Config{Arch: "InO"})
 	if err != nil {
 		return nil, err
 	}
 	for _, arch := range fig11Archs {
-		suite, err := o.suite(arch)
+		suite, err := o.suite(ballerino.Config{Arch: arch})
 		if err != nil {
 			return nil, err
 		}
 		row := Row{Label: arch, Values: map[string]float64{}}
-		var ratios []float64
-		for _, wl := range o.Workloads {
-			v := suite[wl].IPC / base[wl].IPC
-			row.Values[wl] = v
-			ratios = append(ratios, v)
+		for i, wl := range o.Workloads {
+			row.Values[wl] = suite[i].IPC / base[i].IPC
 		}
-		row.Values["GEOMEAN"] = ballerino.GeoMean(ratios)
+		row.Values["GEOMEAN"] = geoSpeedup(suite, base)
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
@@ -193,42 +218,10 @@ func Fig11(o Options) (*Table, error) {
 // Fig12 reproduces Figure 12: the scheduling-delay breakdown of Ballerino
 // compared to CES, CASINO and OoO.
 func Fig12(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		Title:   "Figure 12 — scheduling performance (decode-to-issue breakdown)",
-		Columns: []string{"dec→disp", "disp→rdy", "rdy→issue", "total"},
-		Notes:   "paper: Ballerino's decode→dispatch ≪ CES, slightly above CASINO; LdC ready→issue ≈ 0",
-	}
-	for _, arch := range []string{"CES", "CASINO", "Ballerino", "OoO"} {
-		suite, err := o.suite(arch)
-		if err != nil {
-			return nil, err
-		}
-		for _, cls := range []string{"Ld", "LdC", "Rst"} {
-			var d2d, d2r, r2i, n float64
-			for _, r := range suite {
-				d := r.Delay[cls]
-				w := float64(d.Count)
-				d2d += d.DecodeToDispatch * w
-				d2r += d.DispatchToReady * w
-				r2i += d.ReadyToIssue * w
-				n += w
-			}
-			if n == 0 {
-				continue
-			}
-			t.Rows = append(t.Rows, Row{
-				Label: arch + "/" + cls,
-				Values: map[string]float64{
-					"dec→disp":  d2d / n,
-					"disp→rdy":  d2r / n,
-					"rdy→issue": r2i / n,
-					"total":     (d2d + d2r + r2i) / n,
-				},
-			})
-		}
-	}
-	return t, nil
+	return delayTable(o, &Table{
+		Title: "Figure 12 — scheduling performance (decode-to-issue breakdown)",
+		Notes: "paper: Ballerino's decode→dispatch ≪ CES, slightly above CASINO; LdC ready→issue ≈ 0",
+	}, []string{"CES", "CASINO", "Ballerino", "OoO"}, []string{"Ld", "LdC", "Rst"})
 }
 
 // Fig13 reproduces Figure 13: geomean speedup over InO as the proposed
@@ -240,13 +233,13 @@ func Fig13(o Options) (*Table, error) {
 		Columns: []string{"speedup", "delta_pp"},
 		Notes:   "paper deltas: +MDA +4pp, Step1 +7pp over CES, Step2 +5pp, Step3 +13pp, ideal +5pp",
 	}
-	base, err := o.suite("InO")
+	base, err := o.suite(ballerino.Config{Arch: "InO"})
 	if err != nil {
 		return nil, err
 	}
 	prev := 0.0
 	for _, arch := range fig13Variants {
-		suite, err := o.suite(arch)
+		suite, err := o.suite(ballerino.Config{Arch: arch})
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +266,7 @@ func Fig14(o Options) (*Table, error) {
 		Notes:   "paper: the S-IQ speculatively issues ≈41% of dynamic μops at Step 1",
 	}
 	for _, arch := range []string{"Ballerino-step1", "Ballerino-step2", "Ballerino", "Ballerino-ideal"} {
-		suite, err := o.suite(arch)
+		suite, err := o.suite(ballerino.Config{Arch: arch})
 		if err != nil {
 			return nil, err
 		}
@@ -303,31 +296,30 @@ func Fig15(o Options) (*Table, error) {
 		Columns: append(append([]string{}, comps...), "TOTAL"),
 		Notes:   "paper: Ballerino ≈62% of OoO, ≈CES; CASINO and FXA higher",
 	}
-	totals := map[string]map[string]float64{}
-	var oooTotal float64
+	// sums[arch][j] is comps[j]'s energy summed over the suite.
+	sums := map[string][]float64{}
 	for _, arch := range archs {
-		suite, err := o.suite(arch)
+		suite, err := o.suite(ballerino.Config{Arch: arch})
 		if err != nil {
 			return nil, err
 		}
-		sums := map[string]float64{}
+		s := make([]float64, len(comps))
 		for _, r := range suite {
-			for c, v := range r.EnergyByComponent {
-				sums[c] += v
+			for j, c := range comps {
+				s[j] += r.EnergyByComponent[c]
 			}
 		}
-		totals[arch] = sums
-		if arch == "OoO" {
-			for _, v := range sums {
-				oooTotal += v
-			}
-		}
+		sums[arch] = s
+	}
+	var oooTotal float64
+	for _, v := range sums["OoO"] {
+		oooTotal += v
 	}
 	for _, arch := range archs {
 		row := Row{Label: arch, Values: map[string]float64{}}
 		var tot float64
-		for _, c := range comps {
-			v := totals[arch][c] / oooTotal
+		for j, c := range comps {
+			v := sums[arch][j] / oooTotal
 			row.Values[c] = v
 			tot += v
 		}
@@ -349,7 +341,7 @@ func Fig16(o Options) (*Table, error) {
 	}
 	eff := map[string]float64{}
 	for _, arch := range archs {
-		suite, err := o.suite(arch)
+		suite, err := o.suite(ballerino.Config{Arch: arch})
 		if err != nil {
 			return nil, err
 		}
@@ -378,31 +370,20 @@ func Fig17a(o Options) (*Table, error) {
 		Columns: []string{"w2", "w4", "w8", "w10"},
 		Notes:   "paper: InO and CASINO flatten beyond 8-wide; CES/Ballerino/FXA/OoO keep scaling",
 	}
-	// Baseline: 2-wide InO execution time per workload.
-	baseTime := map[string]float64{}
-	for _, wl := range o.Workloads {
-		r, err := ballerino.Run(ballerino.Config{
-			Arch: "InO", Width: 2, Workload: wl,
-			FootprintBytes: o.Footprint, MaxOps: o.Ops,
-		})
-		if err != nil {
-			return nil, err
-		}
-		baseTime[wl] = r.TimeSeconds
+	base, err := o.suite(ballerino.Config{Arch: "InO", Width: 2})
+	if err != nil {
+		return nil, err
 	}
 	for _, arch := range archs {
 		row := Row{Label: arch, Values: map[string]float64{}}
 		for _, w := range widths {
+			suite, err := o.suite(ballerino.Config{Arch: arch, Width: w})
+			if err != nil {
+				return nil, err
+			}
 			var ratios []float64
-			for _, wl := range o.Workloads {
-				r, err := ballerino.Run(ballerino.Config{
-					Arch: arch, Width: w, Workload: wl,
-					FootprintBytes: o.Footprint, MaxOps: o.Ops,
-				})
-				if err != nil {
-					return nil, err
-				}
-				ratios = append(ratios, baseTime[wl]/r.TimeSeconds)
+			for i, r := range suite {
+				ratios = append(ratios, base[i].TimeSeconds/r.TimeSeconds)
 			}
 			row.Values[fmt.Sprintf("w%d", w)] = ballerino.GeoMean(ratios)
 		}
@@ -422,15 +403,12 @@ func Fig17b(o Options) (*Table, error) {
 	}
 	type point struct{ time, energy float64 }
 	measure := func(arch, level string) (point, error) {
+		suite, err := o.suite(ballerino.Config{Arch: arch, DVFS: level})
+		if err != nil {
+			return point{}, err
+		}
 		var times, energies []float64
-		for _, wl := range o.Workloads {
-			r, err := ballerino.Run(ballerino.Config{
-				Arch: arch, Workload: wl, DVFS: level,
-				FootprintBytes: o.Footprint, MaxOps: o.Ops,
-			})
-			if err != nil {
-				return point{}, err
-			}
+		for _, r := range suite {
 			times = append(times, r.TimeSeconds)
 			energies = append(energies, r.EnergyPJ)
 		}
@@ -465,25 +443,17 @@ func Fig17c(o Options) (*Table, error) {
 		Columns: []string{"speedup"},
 		Notes:   "paper: gains up to eleven P-IQs, flattening beyond",
 	}
-	base, err := o.suite("InO")
+	base, err := o.suite(ballerino.Config{Arch: "InO"})
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range []int{3, 5, 7, 9, 11, 13, 15} {
-		var ratios []float64
-		for _, wl := range o.Workloads {
-			r, err := ballerino.Run(ballerino.Config{
-				Arch: "Ballerino", Workload: wl,
-				FootprintBytes: o.Footprint, MaxOps: o.Ops,
-				NumPIQs: n,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ratios = append(ratios, r.IPC/base[wl].IPC)
+		suite, err := o.suite(ballerino.Config{Arch: "Ballerino", NumPIQs: n})
+		if err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%d P-IQs", n), Values: map[string]float64{
-			"speedup": ballerino.GeoMean(ratios),
+			"speedup": geoSpeedup(suite, base),
 		}})
 	}
 	return t, nil
@@ -498,19 +468,16 @@ func MDPImpact(o Options) (*Table, error) {
 		Columns: []string{"viol_off", "viol_on", "removed", "speedup"},
 		Notes:   "paper: 96% of violations removed, 1.5× average speedup",
 	}
-	for _, wl := range o.Workloads {
-		on, err := o.run("OoO", wl)
-		if err != nil {
-			return nil, err
-		}
-		off, err := ballerino.Run(ballerino.Config{
-			Arch: "OoO", Workload: wl,
-			FootprintBytes: o.Footprint, MaxOps: o.Ops,
-			DisableMDP: true,
-		})
-		if err != nil {
-			return nil, err
-		}
+	ons, err := o.suite(ballerino.Config{Arch: "OoO"})
+	if err != nil {
+		return nil, err
+	}
+	offs, err := o.suite(ballerino.Config{Arch: "OoO", DisableMDP: true})
+	if err != nil {
+		return nil, err
+	}
+	for i, wl := range o.Workloads {
+		on, off := ons[i], offs[i]
 		removed := 0.0
 		if off.Violations > 0 {
 			removed = 1 - float64(on.Violations)/float64(off.Violations)

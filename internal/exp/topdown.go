@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -34,16 +33,11 @@ func CPIStacks(o Options) ([]*Table, error) {
 	var cfgs []ballerino.Config
 	for _, wl := range wls {
 		for _, arch := range archs {
-			cfg := o.cfg(arch, wl)
-			cfg.Topdown = true
-			cfgs = append(cfgs, cfg)
+			cfgs = append(cfgs, ballerino.Config{Arch: arch, Workload: wl, MaxOps: o.Ops, Topdown: true})
 		}
 	}
-	batch := ballerino.RunAll(context.Background(), cfgs, ballerino.BatchOptions{
-		Parallelism: o.Parallelism,
-		Cache:       traces,
-	})
-	if err := batch.FirstErr(); err != nil {
+	results, err := o.runAll(cfgs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -56,8 +50,7 @@ func CPIStacks(o Options) ([]*Table, error) {
 			Notes:   "category columns sum to cpi; base is useful issue, the rest are stalls",
 		}
 		for j, arch := range archs {
-			res := batch.Results[i*len(archs)+j].Result
-			r := res.Topdown
+			r := results[i*len(archs)+j].Topdown
 			if r == nil {
 				return nil, fmt.Errorf("exp: %s/%s returned no topdown report", arch, wl)
 			}

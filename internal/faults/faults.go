@@ -121,10 +121,10 @@ func CampaignPlan(seed uint64) Plan {
 	r := rng{state: seed*0x9e3779b97f4a7c15 + 1}
 	return Plan{
 		Seed:         seed,
-		JitterMax:    1 + r.below(16),        // 1..16 extra cycles
-		FlushEvery:   500 + r.below(4000),    // one storm per 500..4499 cycles
-		SqueezeMilli: 10 + r.below(140),      // 1%..15% dispatch vetoes
-		MDPMilli:     10 + r.below(190),      // 1%..20% fabricated waits
+		JitterMax:    1 + r.below(16),     // 1..16 extra cycles
+		FlushEvery:   500 + r.below(4000), // one storm per 500..4499 cycles
+		SqueezeMilli: 10 + r.below(140),   // 1%..15% dispatch vetoes
+		MDPMilli:     10 + r.below(190),   // 1%..20% fabricated waits
 	}
 }
 

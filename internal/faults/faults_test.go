@@ -41,13 +41,13 @@ func TestParseEmptyAndPartial(t *testing.T) {
 
 func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
-		"jitter",           // no value
-		"jitter=x",         // non-numeric
-		"warp=9",           // unknown knob
-		"squeeze=1000",     // would veto every dispatch
-		"mdp=1001",         // not a probability
-		"jitter=2000000",   // absurd latency
-		"seed=-1",          // negative
+		"jitter",         // no value
+		"jitter=x",       // non-numeric
+		"warp=9",         // unknown knob
+		"squeeze=1000",   // would veto every dispatch
+		"mdp=1001",       // not a probability
+		"jitter=2000000", // absurd latency
+		"seed=-1",        // negative
 	} {
 		if _, err := faults.Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)

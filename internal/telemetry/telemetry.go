@@ -75,10 +75,6 @@ type Options struct {
 	// Workers is the number of jobs executed concurrently (0 or negative =
 	// 1, the classic strictly-ordered queue).
 	Workers int
-	// TraceCacheBytes is the byte budget of the server's shared trace
-	// cache (0 = ballerino.DefaultTraceCacheBytes, negative = unbounded).
-	// Jobs over the same kernel and μop budget share one generated trace.
-	TraceCacheBytes int64
 
 	// Store, when non-nil, makes the job queue durable: every lifecycle
 	// transition is WAL-appended before it is acted on, Start replays the
@@ -231,7 +227,7 @@ func NewServer(opts Options) (*Server, error) {
 		jobs:      make(map[int]*Job),
 		run:       make(map[int]*Job),
 		nextID:    1,
-		traces:    ballerino.NewTraceCache(opts.TraceCacheBytes),
+		traces:    ballerino.NewTraceCache(0),
 		tracer:    opts.Tracer,
 		log:       logger,
 		waitHist: obs.NewExemplarHist("ballserved_queue_wait_seconds",

@@ -134,29 +134,6 @@ func (c Config) footprint() int64 {
 	return c.FootprintBytes
 }
 
-// resolveProgram returns the μop program a (defaulted) config simulates.
-func resolveProgram(cfg Config) (*prog.Program, error) {
-	if cfg.Custom != nil {
-		return cfg.Custom.Internal(), nil
-	}
-	w, err := workload.ByName(cfg.Workload, workload.Params{Footprint: cfg.FootprintBytes})
-	if err != nil {
-		return nil, err
-	}
-	return w.Program, nil
-}
-
-// generateTrace runs the functional interpreter for cfg's dynamic budget.
-// Fuel exhaustion is not an error: kernels are infinite-friendly loops the
-// simulator truncates.
-func generateTrace(ctx context.Context, program *prog.Program, cfg Config) (*prog.Trace, error) {
-	tr, err := prog.ExecuteContext(ctx, program, cfg.MaxOps+cfg.WarmupOps)
-	if err != nil && !errors.Is(err, prog.ErrFuel) {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // PrepareTrace generates the dynamic μop trace for cfg without running
 // the timing model. The returned Trace is immutable: set it on any number
 // of Configs (Config.Trace) whose workload identity, footprint and
@@ -171,6 +148,12 @@ func PrepareTrace(ctx context.Context, cfg Config) (*Trace, error) {
 	return prepareResolved(ctx, rc)
 }
 
+// prepareResolved is the one place a trace is generated — for
+// PrepareTrace, TraceCache misses and RunContext runs without a trace. It
+// builds the config's program, runs the functional interpreter for the
+// warm-up + measured budget under a "trace.generate" span, and classifies
+// failures as stage "config" (program), "trace" (interpreter), or
+// "canceled"/"timeout" when ctx ends mid-generation.
 func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 	simErr := func(stage string, cause error) *SimError {
 		if s, ok := ctxStage(cause); ok {
@@ -178,13 +161,24 @@ func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 		}
 		return &SimError{Stage: stage, Arch: rc.Arch, Workload: rc.Workload, Err: cause}
 	}
-	program, err := resolveProgram(rc.Config)
-	if err != nil {
-		return nil, simErr("config", err)
+	var program *prog.Program
+	if rc.Custom != nil {
+		program = rc.Custom.Internal()
+	} else {
+		w, err := workload.ByName(rc.Workload, workload.Params{Footprint: rc.FootprintBytes})
+		if err != nil {
+			return nil, simErr("config", err)
+		}
+		program = w.Program
 	}
 	gsp := span.FromContext(ctx).Child("trace.generate")
 	gsp.SetAttr("workload", rc.Workload)
-	tr, err := generateTrace(ctx, program, rc.Config)
+	// Fuel exhaustion is not an error: kernels are infinite-friendly loops
+	// the simulator truncates.
+	tr, err := prog.ExecuteContext(ctx, program, rc.MaxOps+rc.WarmupOps)
+	if errors.Is(err, prog.ErrFuel) {
+		err = nil
+	}
 	gsp.Fail(err)
 	gsp.End()
 	if err != nil {

@@ -1,36 +1,26 @@
-// Command benchdiff compares two performance trajectories (or emits a new
-// one) for manifest-based regression tracking.
+// Command benchdiff is the simulator's wall-time gate: it emits a
+// wall-time trajectory of the tier-1 microbenchmark set, or checks that a
+// head trajectory is faster than a base one.
 //
 // Usage:
 //
-//	benchdiff BASE.json HEAD.json            # compare, exit 1 on regression
-//	benchdiff -ipc 0.02 -energy 0.05 BASE HEAD
-//	benchdiff -emit -o BENCH_pr.json -n 5    # run the tier-1 micro set
-//	benchdiff -json BASE HEAD                # machine-readable report
-//	benchdiff -speedup 1.5 BASE HEAD         # also require a 1.5× wall-time win
+//	benchdiff -emit -o BENCH_pr.json -n 5              # run the tier-1 micro set
+//	benchdiff -speedup 1.5 BASE.json HEAD.json         # require a 1.5× wall-time win
+//	benchdiff -speedup 1.5 -speedup-workloads branchy BASE HEAD
 //
-// Inputs may be "ballerino.bench/v1" trajectories (the -emit output), a
-// single `ballsim -json` run manifest, or a JSON array of manifests
-// (`ballsim -compare -json`); manifests become one-sample points.
+// Inputs are "ballerino.bench/v1" trajectories (the -emit output). Per
+// gated workload (-speedup-workloads), the geometric mean of per-point
+// best-of-N base/head wall-time ratios must reach the -speedup factor.
+// CI uses it to hold hot-loop optimisations to their claims. The
+// simulated counters of the same grid are pinned by the golden-manifest
+// corpus, so benchdiff compares wall time only.
 //
-// Comparison is benchstat-style: per metric, the mean and 95% confidence
-// interval over the repeated samples. A regression is a relative change in
-// the bad direction (IPC down, energy/cycles up) beyond the metric's
-// threshold whose confidence intervals do not overlap. The simulator is
-// deterministic, so IPC/energy/cycle means are exact and any flagged
-// regression is a real behavioural change.
-//
-// -speedup gates the simulator's own wall time instead of the simulated
-// machines: per gated workload (-speedup-workloads), the geometric mean
-// of per-point best-of-N base/head wall-time ratios must reach the
-// factor. CI uses it to hold hot-loop optimisations to their claims.
-//
-// Exit codes: 0 clean, 1 regression detected, 2 operational error.
+// Exit codes: 0 gate passed (or trajectory written), 1 below the speedup
+// gate, 2 usage or operational error.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,30 +28,36 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	var (
-		emit    = flag.Bool("emit", false, "run the tier-1 microbenchmark set and write a trajectory instead of comparing")
-		out     = flag.String("o", "BENCH_pr.json", "output path for -emit")
-		n       = flag.Int("n", 5, "repetitions per configuration for -emit")
-		ipcTh   = flag.Float64("ipc", 0.02, "max tolerated relative IPC decrease (0 disables)")
-		enTh    = flag.Float64("energy", 0, "max tolerated relative energy increase (0 disables)")
-		cycTh   = flag.Float64("cycles", 0, "max tolerated relative cycle increase (0 disables)")
-		jsonOut = flag.Bool("json", false, "print the comparison report as JSON")
-		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "runs in flight at once for -emit (1 = sequential)")
+		emit = fs.Bool("emit", false, "run the tier-1 microbenchmark set and write a trajectory instead of comparing")
+		out  = fs.String("o", "BENCH_pr.json", "output path for -emit")
+		n    = fs.Int("n", 5, "repetitions per configuration for -emit (at least 1)")
+		par  = fs.Int("parallel", runtime.GOMAXPROCS(0), "runs in flight at once for -emit (1 = sequential)")
 
-		speedup   = flag.Float64("speedup", 0, "required best-of-N wall-time geomean speedup of head over base per gated workload (0 disables)")
-		speedupWl = flag.String("speedup-workloads", "branchy,pointer-chase", "comma-separated workloads the -speedup gate covers")
+		speedup   = fs.Float64("speedup", 0, "required best-of-N wall-time geomean speedup of head over base per gated workload")
+		speedupWl = fs.String("speedup-workloads", "branchy,pointer-chase", "comma-separated workloads the -speedup gate covers")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintf(os.Stderr, "benchdiff: %s\nusage: benchdiff -speedup F [flags] BASE.json HEAD.json  (or -emit -o FILE -n N)\n", msg)
+		fs.PrintDefaults()
+		return 2
+	}
 
 	if *emit {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -79,54 +75,29 @@ func run() int {
 		return 0
 	}
 
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] BASE.json HEAD.json  (or -emit -o FILE -n N)")
-		flag.PrintDefaults()
-		return 2
+	if fs.NArg() != 2 {
+		return usage("need BASE and HEAD trajectories")
 	}
-	base, err := bench.Load(flag.Arg(0))
+	if *speedup <= 0 {
+		return usage("nothing to compare without a positive -speedup")
+	}
+	base, err := bench.Load(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	head, err := bench.Load(flag.Arg(1))
+	head, err := bench.Load(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	rep := bench.Compare(base, head, bench.Thresholds{IPC: *ipcTh, Energy: *enTh, Cycles: *cycTh})
-	var srep *bench.SpeedupReport
-	if *speedup > 0 {
-		srep = bench.CompareSpeedup(base, head, splitList(*speedupWl), *speedup)
+	rep := bench.CompareSpeedup(base, head, splitList(*speedupWl), *speedup)
+	fmt.Print(rep)
+	if rep.Failures > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d workload(s) below the %.2f× wall-time speedup gate\n", rep.Failures, *speedup)
+		return 1
 	}
-	if *jsonOut {
-		out := struct {
-			*bench.Report
-			Speedup *bench.SpeedupReport `json:"speedup,omitempty"`
-		}{rep, srep}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Println(string(b))
-	} else {
-		printReport(rep)
-		if srep != nil {
-			fmt.Print(srep)
-		}
-	}
-	code := 0
-	if rep.Regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond thresholds\n", rep.Regressions)
-		code = 1
-	}
-	if srep != nil && srep.Failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d workload(s) below the %.2f× wall-time speedup gate\n", srep.Failures, *speedup)
-		code = 1
-	}
-	return code
+	return 0
 }
 
 // splitList parses a comma-separated flag value, dropping empty items.
@@ -138,34 +109,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func printReport(rep *bench.Report) {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "point\tmetric\tbase\thead\tdelta\t")
-	for _, pd := range rep.Points {
-		for _, d := range pd.Deltas {
-			mark := ""
-			if d.Regression {
-				mark = "REGRESSION"
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%+.2f%%\t%s\n",
-				pd.Key, d.Metric, fmtCI(d.BaseMean, d.BaseCI), fmtCI(d.HeadMean, d.HeadCI),
-				100*d.Relative, mark)
-		}
-	}
-	tw.Flush()
-	for _, k := range rep.BaseOnly {
-		fmt.Printf("only in base: %s\n", k)
-	}
-	for _, k := range rep.HeadOnly {
-		fmt.Printf("only in head: %s\n", k)
-	}
-}
-
-func fmtCI(mean, ci float64) string {
-	if ci == 0 {
-		return fmt.Sprintf("%.4g", mean)
-	}
-	return fmt.Sprintf("%.4g±%.2g", mean, ci)
 }

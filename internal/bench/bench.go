@@ -1,15 +1,16 @@
-// Package bench is the performance-trajectory layer behind cmd/benchdiff:
-// it runs the tier-1 microbenchmark configurations repeatedly, records one
-// Sample per run into a Trajectory ("ballerino.bench/v1" JSON), and
-// compares two trajectories benchstat-style — mean and 95% confidence
-// interval per metric — flagging regressions beyond configurable
-// thresholds.
+// Package bench is the wall-time trajectory layer behind cmd/benchdiff:
+// it runs the tier-1 microbenchmark configurations repeatedly, records
+// each run's wall time as one Sample in a Trajectory
+// ("ballerino.bench/v1" JSON), and gates a head trajectory's speedup over
+// a base (CompareSpeedup).
 //
-// The simulator is deterministic: repeated runs of one configuration give
-// identical IPC, cycles and energy, so those means compare exactly across
-// machines and a regression is always a real behavioural change, never
-// noise. Wall time is the one genuinely noisy metric, which is why samples
-// are kept per-run instead of collapsing to a single number.
+// Wall time is the only thing it records. The simulated counters of the
+// same grid (cycles, IPC, energy) are deterministic and pinned byte for
+// byte by the golden-manifest corpus (internal/pipeline's
+// TestGoldenManifests), so there is nothing for a statistical comparison
+// to add. A sample's wall time is its run manifest's WallSeconds. Collect
+// injects every trace from the campaign's shared cache, so a sample times
+// machine build and simulation, not trace generation.
 package bench
 
 import (
@@ -17,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	ballerino "repro"
 	"repro/internal/obs"
@@ -28,9 +28,6 @@ const Schema = "ballerino.bench/v1"
 
 // Sample is the outcome of one simulation run.
 type Sample struct {
-	IPC         float64 `json:"ipc"`
-	EnergyPJ    float64 `json:"energy_pj"`
-	Cycles      uint64  `json:"cycles"`
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
@@ -51,8 +48,6 @@ func (p Point) Key() string {
 // Trajectory is the machine-readable record of one benchmark sweep.
 type Trajectory struct {
 	Schema      string  `json:"schema"`
-	CreatedAt   string  `json:"created_at,omitempty"`
-	GoVersion   string  `json:"go_version,omitempty"`
 	GitRevision string  `json:"git_revision,omitempty"`
 	Points      []Point `json:"points"`
 }
@@ -79,15 +74,15 @@ func DefaultConfigs() []Config {
 	return cfgs
 }
 
-// Collect runs every configuration n times and returns the trajectory.
-// parallelism bounds the runs in flight (0 = GOMAXPROCS, 1 = strictly
-// sequential); all n×len(cfgs) runs form one campaign sharing a trace
-// cache, and samples land in the same deterministic order at every
-// setting. The context cancels mid-sweep (the partial trajectory is
-// discarded).
+// Collect runs every configuration n times (n ≥ 1) and returns the
+// trajectory. parallelism bounds the runs in flight (0 = GOMAXPROCS,
+// 1 = strictly sequential); all n×len(cfgs) runs form one campaign
+// sharing a trace cache, and samples land in the same deterministic order
+// at every setting. The context cancels mid-sweep (the partial trajectory
+// is discarded).
 func Collect(ctx context.Context, cfgs []Config, n, parallelism int) (*Trajectory, error) {
-	if n <= 0 {
-		n = 1
+	if n < 1 {
+		return nil, fmt.Errorf("bench: %d repetitions per configuration, need at least 1", n)
 	}
 	// Flatten to n×len(cfgs) jobs: repetition i of point p sits at slot
 	// p*n+i, so regrouping below is a deterministic reshape.
@@ -111,71 +106,26 @@ func Collect(ctx context.Context, cfgs []Config, n, parallelism int) (*Trajector
 			if rr.Err != nil {
 				return nil, fmt.Errorf("bench: %s run %d: %w", pt.Key(), i+1, rr.Err)
 			}
-			res := rr.Result
-			pt.Samples = append(pt.Samples, Sample{
-				IPC:         res.IPC,
-				EnergyPJ:    res.EnergyPJ,
-				Cycles:      res.Cycles,
-				WallSeconds: res.Manifest.WallSeconds,
-			})
+			pt.Samples = append(pt.Samples, Sample{WallSeconds: rr.Result.Manifest.WallSeconds})
 		}
 		tr.Points = append(tr.Points, pt)
 	}
 	return tr, nil
 }
 
-// Load reads a trajectory from path. For interoperability with the rest of
-// the observability layer it also accepts a single run manifest or a JSON
-// array of manifests (the `ballsim -json` / `-compare -json` shapes), each
-// manifest becoming a one-sample point.
+// Load reads a "ballerino.bench/v1" trajectory from path. Fields outside
+// Sample (older trajectories also carry each run's IPC, energy and
+// cycles) are ignored.
 func Load(path string) (*Trajectory, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	return Parse(b)
-}
-
-// Parse decodes the bytes of any Load-accepted shape.
-func Parse(b []byte) (*Trajectory, error) {
-	// Try the native trajectory first: the schema field disambiguates.
 	var tr Trajectory
-	if err := json.Unmarshal(b, &tr); err == nil && tr.Schema == Schema {
-		return &tr, nil
+	if err := json.Unmarshal(b, &tr); err != nil || tr.Schema != Schema {
+		return nil, fmt.Errorf("bench: %s is not a %q trajectory", path, Schema)
 	}
-	var manifests []*obs.Manifest
-	var one obs.Manifest
-	if err := json.Unmarshal(b, &manifests); err != nil {
-		if err := json.Unmarshal(b, &one); err != nil || one.Schema != obs.ManifestSchema {
-			return nil, fmt.Errorf("bench: not a %q trajectory, run manifest, or manifest array", Schema)
-		}
-		manifests = []*obs.Manifest{&one}
-	}
-	out := &Trajectory{Schema: Schema}
-	byKey := map[string]int{}
-	for _, m := range manifests {
-		if m == nil || m.Schema != obs.ManifestSchema {
-			return nil, fmt.Errorf("bench: manifest array entry is not a %q manifest", obs.ManifestSchema)
-		}
-		pt := Point{Arch: m.Sim.Arch, Workload: m.Sim.Workload, Width: m.Sim.Width, Ops: m.Sim.Ops}
-		s := Sample{
-			IPC:         m.Stats.IPC,
-			EnergyPJ:    m.Energy.TotalPJ,
-			Cycles:      m.Stats.Cycles,
-			WallSeconds: m.WallSeconds,
-		}
-		if i, ok := byKey[pt.Key()]; ok {
-			out.Points[i].Samples = append(out.Points[i].Samples, s)
-			continue
-		}
-		pt.Samples = []Sample{s}
-		byKey[pt.Key()] = len(out.Points)
-		out.Points = append(out.Points, pt)
-	}
-	if len(out.Points) == 0 {
-		return nil, fmt.Errorf("bench: no points in input")
-	}
-	return out, nil
+	return &tr, nil
 }
 
 // WriteFile writes the trajectory as indented JSON.
@@ -188,114 +138,4 @@ func (tr *Trajectory) WriteFile(path string) error {
 		return fmt.Errorf("bench: %w", err)
 	}
 	return nil
-}
-
-// Thresholds are the maximum tolerated relative regressions, as fractions
-// (0.02 = 2%). A zero threshold disables that metric's gate.
-type Thresholds struct {
-	IPC    float64 // IPC decrease
-	Energy float64 // energy increase
-	Cycles float64 // cycle-count increase
-}
-
-// Delta is one metric's base-vs-head comparison at one point.
-type Delta struct {
-	Metric     string  `json:"metric"`
-	BaseMean   float64 `json:"base_mean"`
-	HeadMean   float64 `json:"head_mean"`
-	BaseCI     float64 `json:"base_ci"` // 95% CI half-width
-	HeadCI     float64 `json:"head_ci"`
-	Relative   float64 `json:"relative"` // (head-base)/base, sign per metric direction
-	Regression bool    `json:"regression"`
-}
-
-// PointDiff is every metric delta of one matched point.
-type PointDiff struct {
-	Key    string  `json:"key"`
-	N      int     `json:"n"` // min(samples) across base and head
-	Deltas []Delta `json:"deltas"`
-}
-
-// Report is the full comparison of two trajectories.
-type Report struct {
-	Points      []PointDiff `json:"points"`
-	BaseOnly    []string    `json:"base_only,omitempty"`
-	HeadOnly    []string    `json:"head_only,omitempty"`
-	Regressions int         `json:"regressions"`
-}
-
-// Compare matches points across base and head by key and computes the
-// metric deltas. A regression is a relative change in the bad direction
-// (IPC down, energy or cycles up) beyond the metric's threshold whose 95%
-// confidence intervals do not overlap — deterministic metrics have
-// zero-width CIs, so any above-threshold change flags; noisy metrics must
-// clear the noise floor first.
-func Compare(base, head *Trajectory, th Thresholds) *Report {
-	rep := &Report{}
-	headByKey := map[string]Point{}
-	for _, p := range head.Points {
-		headByKey[p.Key()] = p
-	}
-	seen := map[string]bool{}
-	for _, bp := range base.Points {
-		key := bp.Key()
-		hp, ok := headByKey[key]
-		if !ok {
-			rep.BaseOnly = append(rep.BaseOnly, key)
-			continue
-		}
-		seen[key] = true
-		pd := PointDiff{Key: key, N: min(len(bp.Samples), len(hp.Samples))}
-		for _, m := range []struct {
-			name      string
-			get       func(Sample) float64
-			badIsUp   bool
-			threshold float64
-		}{
-			{"ipc", func(s Sample) float64 { return s.IPC }, false, th.IPC},
-			{"energy_pj", func(s Sample) float64 { return s.EnergyPJ }, true, th.Energy},
-			{"cycles", func(s Sample) float64 { return float64(s.Cycles) }, true, th.Cycles},
-		} {
-			bm, bci := meanCI95(values(bp.Samples, m.get))
-			hm, hci := meanCI95(values(hp.Samples, m.get))
-			d := Delta{Metric: m.name, BaseMean: bm, HeadMean: hm, BaseCI: bci, HeadCI: hci}
-			if bm != 0 {
-				d.Relative = (hm - bm) / bm
-			}
-			worse := d.Relative
-			if !m.badIsUp {
-				worse = -worse
-			}
-			ciOverlap := abs(hm-bm) <= bci+hci
-			d.Regression = m.threshold > 0 && worse > m.threshold && !ciOverlap
-			if d.Regression {
-				rep.Regressions++
-			}
-			pd.Deltas = append(pd.Deltas, d)
-		}
-		rep.Points = append(rep.Points, pd)
-	}
-	for _, p := range head.Points {
-		if !seen[p.Key()] {
-			rep.HeadOnly = append(rep.HeadOnly, p.Key())
-		}
-	}
-	sort.Strings(rep.BaseOnly)
-	sort.Strings(rep.HeadOnly)
-	return rep
-}
-
-func values(ss []Sample, get func(Sample) float64) []float64 {
-	out := make([]float64, len(ss))
-	for i, s := range ss {
-		out[i] = get(s)
-	}
-	return out
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -10,19 +10,19 @@ import (
 // WallSpeedup is one workload's best-of-N wall-time comparison across
 // every architecture that appears in both trajectories.
 type WallSpeedup struct {
-	Workload string  `json:"workload"`
-	Points   int     `json:"points"`  // matched (arch, width, ops) points
-	Geomean  float64 `json:"geomean"` // base/head best wall time, >1 = head faster
-	Min      float64 `json:"min"`
-	Max      float64 `json:"max"`
-	Pass     bool    `json:"pass"`
+	Workload string
+	Points   int     // matched (arch, width, ops) points
+	Geomean  float64 // base/head best wall time, >1 = head faster
+	Min      float64
+	Max      float64
+	Pass     bool
 }
 
 // SpeedupReport is the wall-time speedup gate over a workload subset.
 type SpeedupReport struct {
-	Factor    float64       `json:"factor"` // required geomean speedup
-	Workloads []WallSpeedup `json:"workloads"`
-	Failures  int           `json:"failures"`
+	Factor    float64 // required geomean speedup
+	Workloads []WallSpeedup
+	Failures  int
 }
 
 // bestWall returns the fastest wall-clock sample of a point — the
@@ -45,12 +45,10 @@ func bestWall(p Point) float64 {
 // CompareSpeedup gates head's simulation wall time against base on the
 // named workloads: for every matched point of a workload it takes the
 // best-of-N wall-time ratio base/head, and the workload passes when the
-// geometric mean of those ratios reaches factor. Unlike Compare, which
-// protects the simulated machines (IPC, cycles, energy), this protects
-// the simulator itself — the hot-loop speedup a PR claims must
-// reproduce on the gate machine. A workload with no matched points
-// counts as a failure: an absent measurement cannot demonstrate a
-// speedup.
+// geometric mean of those ratios reaches factor. It protects the
+// simulator itself — the hot-loop speedup a PR claims must reproduce on
+// the gate machine. A workload with no matched points counts as a
+// failure: an absent measurement cannot demonstrate a speedup.
 func CompareSpeedup(base, head *Trajectory, workloads []string, factor float64) *SpeedupReport {
 	headByKey := map[string]Point{}
 	for _, p := range head.Points {

@@ -10,7 +10,7 @@ import (
 func wallPoint(arch, wl string, walls ...float64) Point {
 	p := Point{Arch: arch, Workload: wl, Width: 8, Ops: 30_000}
 	for _, w := range walls {
-		p.Samples = append(p.Samples, Sample{IPC: 1, EnergyPJ: 1, Cycles: 1, WallSeconds: w})
+		p.Samples = append(p.Samples, Sample{WallSeconds: w})
 	}
 	return p
 }

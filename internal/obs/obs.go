@@ -7,7 +7,8 @@
 // The layer is zero-cost when off: the pipeline holds a nil *Recorder and
 // every emit site is guarded by a single predictable nil check, so a
 // simulation with no sink attached pays one untaken branch per event site
-// (see BenchmarkEmitNil and BenchmarkObsOverhead in the repository root).
+// (see BenchmarkEmitNil here and BenchmarkObsOverhead in the repository
+// root).
 package obs
 
 import (

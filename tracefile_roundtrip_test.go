@@ -3,8 +3,10 @@ package ballerino_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	ballerino "repro"
@@ -25,6 +27,12 @@ const replayOps = 30_000
 // timing model consumes, and the reader's reconstruction of the dynamic
 // stream from the minimal encoding mirrors the functional interpreter
 // field for field.
+//
+// Each in-memory run's cycles and committed μops must also equal the
+// pipeline golden corpus's digest of the same point
+// (internal/pipeline/testdata/golden), which TestGoldenManifests builds
+// with pipeline.New directly. That ties the public API's config
+// resolution (default width, no warm-up) to the corpus.
 func TestTraceRoundTripDifferential(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -56,6 +64,10 @@ func TestTraceRoundTripDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: in-memory run: %v", arch, wl, err)
 			}
+			if want := goldenStats(t, arch, wl); r1.Cycles != want.cycles || r1.Committed != want.committed {
+				t.Errorf("%s/%s: in-memory run cycles=%d committed=%d, golden corpus cycles=%d committed=%d",
+					arch, wl, r1.Cycles, r1.Committed, want.cycles, want.committed)
+			}
 			r2, err := ballerino.Run(imp.Configure(ballerino.Config{Arch: arch}))
 			if err != nil {
 				t.Fatalf("%s/%s: replay run: %v", arch, wl, err)
@@ -74,6 +86,27 @@ func TestTraceRoundTripDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenStats reads the cycle and committed-μop counts from the stats line
+// of the pipeline golden corpus's digest for arch on wl.
+func goldenStats(t *testing.T, arch, wl string) (st struct{ cycles, committed uint64 }) {
+	t.Helper()
+	path := filepath.Join("internal", "pipeline", "testdata", "golden", arch+"_"+wl+".txt")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(line, "stats: ") {
+			if _, err := fmt.Sscanf(line, "stats: cycles=%d committed=%d", &st.cycles, &st.committed); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			return st
+		}
+	}
+	t.Fatalf("%s: no stats line", path)
+	return st
 }
 
 // TestTraceImportContentKeyStable: a re-imported trace reproduces the

@@ -8,6 +8,7 @@ import (
 
 	ballerino "repro"
 	"repro/internal/exp"
+	"repro/internal/obs"
 	"repro/internal/span"
 )
 
@@ -195,12 +196,21 @@ func runSim(cfg ballerino.Config) error {
 
 // BenchmarkObsOverhead measures the cost of the observability layer on
 // the simulation: "off" runs with no recorder (one untaken nil check per
-// emit site), "sinks" streams every event to Chrome-trace, JSONL and CSV
-// files in a temporary directory. It compares the two; nothing gates the
-// ratio. TestSteadyStateAllocs (internal/pipeline) holds the
-// recorder-less cycle loop at zero allocations.
+// emit site), "recorder" attaches a recorder with no sinks (the served
+// configuration: one kind count per event plus heartbeats), and "sinks"
+// streams every event to Chrome-trace, JSONL and CSV files in a temporary
+// directory. It compares them; nothing gates the ratios.
+// TestSteadyStateAllocs and TestRecorderSteadyStateAllocs
+// (internal/pipeline) hold the cycle loop at zero allocations without a
+// recorder and with a sink-less one.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) { benchOverhead(b, runSim) })
+	b.Run("recorder", func(b *testing.B) {
+		benchOverhead(b, func(cfg ballerino.Config) error {
+			cfg.Recorder = obs.NewRecorder(0)
+			return runSim(cfg)
+		})
+	})
 	b.Run("sinks", func(b *testing.B) {
 		dir := b.TempDir()
 		benchOverhead(b, func(cfg ballerino.Config) error {

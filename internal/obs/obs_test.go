@@ -255,7 +255,8 @@ func TestChromeSinkRendersSpans(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewChromeSinkWriter(nopCloser{&buf})
 
-	c.Event(&Event{Kind: KindDecode, Cycle: 1, Seq: 5, Label: "alu r1"})
+	in := &isa.DynInst{Seq: 5, Op: isa.OpIntALU, Dst: 1}
+	c.Event(&Event{Kind: KindDecode, Cycle: 1, Seq: 5, Inst: in})
 	c.Event(&Event{Kind: KindDispatch, Cycle: 3, Seq: 5, Port: 2})
 	c.Event(&Event{Kind: KindIssue, Cycle: 6, Seq: 5, Arg: 5})
 	c.Event(&Event{Kind: KindExec, Cycle: 6, Seq: 5, Arg: 8})
@@ -280,7 +281,7 @@ func TestChromeSinkRendersSpans(t *testing.T) {
 		switch e.Ph {
 		case "X":
 			slice++
-			if e.Name != "alu r1" || e.TS != 3 || e.Dur != 5 || e.TID != 2 {
+			if e.Name != in.String() || e.TS != 3 || e.Dur != 5 || e.TID != 2 {
 				t.Errorf("slice = %+v", e)
 			}
 		case "i":
@@ -298,7 +299,7 @@ func TestChromeSinkDropsSquashedAndPartial(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewChromeSinkWriter(nopCloser{&buf})
 	// Squashed μop: no slice.
-	c.Event(&Event{Kind: KindDecode, Cycle: 1, Seq: 5, Label: "x"})
+	c.Event(&Event{Kind: KindDecode, Cycle: 1, Seq: 5, Inst: &isa.DynInst{Seq: 5}})
 	c.Event(&Event{Kind: KindSquash, Cycle: 2, Seq: 5})
 	c.Event(&Event{Kind: KindCommit, Cycle: 3, Seq: 5})
 	// Commit without a tracked decode (attached mid-run): no slice.

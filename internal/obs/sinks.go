@@ -182,7 +182,7 @@ func (s *JSONLSink) Event(e *Event) {
 		PC:    e.PC,
 		Port:  e.Port,
 		Arg:   e.Arg,
-		Label: e.Label,
+		Label: label(e.Inst),
 	}
 	if e.Kind == KindCommit || e.Kind == KindDispatch || e.Kind == KindIssue {
 		le.Op = e.Op.String()

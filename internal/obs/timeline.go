@@ -1,10 +1,12 @@
 package obs
 
+import "repro/internal/isa"
+
 // Timeline is one committed μop's stage timeline in cycles, rebuilt from
 // the event stream.
 type Timeline struct {
 	Seq   uint64
-	Label string // the decode event's disassembly
+	Label string // the decoded μop's disassembly, rendered at commit
 	Port  int    // issue port, from the dispatch event
 
 	Decode   uint64
@@ -19,8 +21,9 @@ type Timeline struct {
 // one assembler behind ChromeSink's per-μop slices and pipetrace's Gantt
 // and Kanata views. It is squash-aware: a squashed attempt is dropped, so
 // a refetched μop reports its committed incarnation. A commit whose decode,
-// dispatch or issue was never seen yields nothing. The zero value is ready
-// to use.
+// dispatch or issue was never seen yields nothing. Labels are rendered
+// only for the timelines it returns, so squashed μops are never formatted.
+// The zero value is ready to use.
 type Assembler struct {
 	inflight map[uint64]*partialTimeline
 }
@@ -29,6 +32,7 @@ type Assembler struct {
 // until commit (returned) or squash (dropped and rebuilt on refetch).
 type partialTimeline struct {
 	t                  Timeline
+	inst               *isa.DynInst // the decode event's trace entry
 	dispatched, issued bool
 }
 
@@ -40,7 +44,7 @@ func (a *Assembler) Add(e *Event) (Timeline, bool) {
 		if a.inflight == nil {
 			a.inflight = make(map[uint64]*partialTimeline, 256)
 		}
-		a.inflight[e.Seq] = &partialTimeline{t: Timeline{Seq: e.Seq, Label: e.Label, Decode: e.Cycle}}
+		a.inflight[e.Seq] = &partialTimeline{t: Timeline{Seq: e.Seq, Decode: e.Cycle}, inst: e.Inst}
 	case KindDispatch:
 		if p := a.inflight[e.Seq]; p != nil {
 			p.t.Dispatch, p.t.Port, p.dispatched = e.Cycle, int(e.Port), true
@@ -61,6 +65,7 @@ func (a *Assembler) Add(e *Event) (Timeline, bool) {
 		if p != nil && p.dispatched && p.issued {
 			p.t.Commit = e.Cycle
 			p.t.Complete = max(p.t.Complete, p.t.Issue)
+			p.t.Label = label(p.inst)
 			return p.t, true
 		}
 	}

@@ -594,12 +594,16 @@ func (p *Pipeline) TopdownConservation() (got, want uint64, on bool) {
 }
 
 // readyTD is ready plus blame classification for examined-but-blocked
-// μops (the scheduler looked at u and moved on).
+// μops (the scheduler looked at u and moved on). Once the cycle's blame
+// is settled on memory, no later blockage can change it, so
+// classification stops.
 func (p *Pipeline) readyTD(u *sched.UOp) bool {
 	if p.ready(u) {
 		return true
 	}
-	p.noteBlocked(u)
+	if !p.td.Settled() {
+		p.noteBlocked(u)
+	}
 	return false
 }
 
@@ -613,9 +617,13 @@ func (p *Pipeline) grantTD(u *sched.UOp) {
 // already granted: FU contention if it was otherwise ready, else
 // whatever actually blocks it. (Schedulers check the port before
 // readiness, so u's readiness is unknown here; the extra ready() call
-// only runs with accounting attached and is idempotent — its only side
-// effect, MDPBlockedSince, is a debug first-blocked timestamp.)
+// only runs with accounting attached, and not at all once the cycle's
+// blame is settled. It is idempotent — its only side effect,
+// MDPBlockedSince, is a debug first-blocked timestamp.)
 func (p *Pipeline) portBlockedTD(u *sched.UOp) {
+	if p.td.Settled() {
+		return
+	}
 	if p.ready(u) {
 		p.td.NoteFUBlock()
 	} else {
@@ -782,9 +790,10 @@ func (p *Pipeline) step() {
 	p.issue()
 	p.dispatch()
 	p.fetch()
-	p.stats.OccupancySum += uint64(p.sched.Occupancy())
+	occ := p.sched.Occupancy()
+	p.stats.OccupancySum += uint64(occ)
 	if p.td != nil {
-		p.td.EndCycle(p.sched.Occupancy(),
+		p.td.EndCycle(occ,
 			p.cycle < p.fetchStallUntil && p.fetchStallIsRecovery,
 			p.decodeQ.n >= p.cfg.DecodeQueue)
 	}
@@ -1249,7 +1258,7 @@ func (p *Pipeline) renameOne(de *decodeEntry) bool {
 
 	if p.obs != nil {
 		p.obs.Emit(obs.Event{Kind: obs.KindDecode, Cycle: u.DecodeCycle, Seq: u.Seq(),
-			PC: uint64(u.D.PC), Op: u.D.Op, Label: u.D.String()})
+			PC: uint64(u.D.PC), Op: u.D.Op, Inst: u.D})
 		p.obs.Emit(obs.Event{Kind: obs.KindRename, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port), Arg: uint64(u.Dst)})
 	}

@@ -170,6 +170,14 @@ func (e *Engine) NoteMemBlock() {
 	e.memBlock = true
 }
 
+// Settled reports whether this cycle's idle-slot blame is already decided.
+// Memory outranks every other cause (see EndCycle), so once NoteMemBlock
+// has fired the issue path need not classify further blocked μops;
+// grants must still be noted. False on a nil engine.
+func (e *Engine) Settled() bool {
+	return e != nil && e.memBlock
+}
+
 // NoteDepBlock records that a μop was held back this cycle by a plain RAW
 // dependence (non-load producer).
 func (e *Engine) NoteDepBlock() {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -16,31 +17,34 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // stream is a hand-built event sequence: three μops through the full
 // pipeline, one of them (seq 11) squashed once by a flush and refetched.
 func stream() []obs.Event {
-	ev := func(k obs.Kind, cycle, seq, arg uint64, label string) obs.Event {
-		return obs.Event{Kind: k, Cycle: cycle, Seq: seq, Arg: arg, Label: label}
+	ev := func(k obs.Kind, cycle, seq, arg uint64, in *isa.DynInst) obs.Event {
+		return obs.Event{Kind: k, Cycle: cycle, Seq: seq, Arg: arg, Inst: in}
 	}
+	add := &isa.DynInst{Seq: 10, PC: 0, Op: isa.OpIntALU, Fn: isa.FnAdd, Dst: 1}
+	load := &isa.DynInst{Seq: 11, PC: 1, Op: isa.OpLoad, Dst: 2, Addr: 0x40}
+	and := &isa.DynInst{Seq: 12, PC: 2, Op: isa.OpIntALU, Fn: isa.FnAnd, Dst: 3}
 	return []obs.Event{
-		ev(obs.KindDecode, 2, 10, 0, "pc=0 alu.add r1"),
-		ev(obs.KindDispatch, 4, 10, 0, ""),
-		ev(obs.KindDecode, 3, 11, 0, "pc=1 load r2, [0x40]"),
-		ev(obs.KindDispatch, 5, 11, 0, ""),
-		ev(obs.KindIssue, 6, 10, 5, ""),
-		ev(obs.KindExec, 6, 10, 7, ""),
-		ev(obs.KindCommit, 8, 10, 0, ""),
+		ev(obs.KindDecode, 2, 10, 0, add),
+		ev(obs.KindDispatch, 4, 10, 0, nil),
+		ev(obs.KindDecode, 3, 11, 0, load),
+		ev(obs.KindDispatch, 5, 11, 0, nil),
+		ev(obs.KindIssue, 6, 10, 5, nil),
+		ev(obs.KindExec, 6, 10, 7, nil),
+		ev(obs.KindCommit, 8, 10, 0, nil),
 		// Flush: seq 11's first incarnation dies before issuing.
-		ev(obs.KindFlush, 9, 11, 0, ""),
-		ev(obs.KindSquash, 9, 11, 0, ""),
+		ev(obs.KindFlush, 9, 11, 0, nil),
+		ev(obs.KindSquash, 9, 11, 0, nil),
 		// Refetch and complete.
-		ev(obs.KindDecode, 11, 11, 0, "pc=1 load r2, [0x40]"),
-		ev(obs.KindDispatch, 13, 11, 0, ""),
-		ev(obs.KindIssue, 14, 11, 13, ""),
-		ev(obs.KindExec, 14, 11, 18, ""),
-		ev(obs.KindDecode, 12, 12, 0, "pc=2 alu.and r3"),
-		ev(obs.KindDispatch, 14, 12, 0, ""),
-		ev(obs.KindIssue, 19, 12, 18, ""),
-		ev(obs.KindExec, 19, 12, 20, ""),
-		ev(obs.KindCommit, 19, 11, 0, ""),
-		ev(obs.KindCommit, 21, 12, 0, ""),
+		ev(obs.KindDecode, 11, 11, 0, load),
+		ev(obs.KindDispatch, 13, 11, 0, nil),
+		ev(obs.KindIssue, 14, 11, 13, nil),
+		ev(obs.KindExec, 14, 11, 18, nil),
+		ev(obs.KindDecode, 12, 12, 0, and),
+		ev(obs.KindDispatch, 14, 12, 0, nil),
+		ev(obs.KindIssue, 19, 12, 18, nil),
+		ev(obs.KindExec, 19, 12, 20, nil),
+		ev(obs.KindCommit, 19, 11, 0, nil),
+		ev(obs.KindCommit, 21, 12, 0, nil),
 	}
 }
 
@@ -60,7 +64,7 @@ func TestAssemble(t *testing.T) {
 	if u.Decode != 11 || u.Dispatch != 13 || u.Issue != 14 || u.Ready != 13 || u.Complete != 18 || u.Commit != 19 {
 		t.Errorf("seq 11 timeline = %+v, want refetched incarnation", u)
 	}
-	if u.Label != "pc=1 load r2, [0x40]" {
+	if u.Label != "#11 pc=1 load r2, [0x40]" {
 		t.Errorf("seq 11 label = %q", u.Label)
 	}
 
@@ -77,7 +81,7 @@ func TestAssemble(t *testing.T) {
 func TestAssembleIncomplete(t *testing.T) {
 	events := []obs.Event{
 		{Kind: obs.KindCommit, Cycle: 5, Seq: 1},
-		{Kind: obs.KindDecode, Cycle: 1, Seq: 2, Label: "x"},
+		{Kind: obs.KindDecode, Cycle: 1, Seq: 2, Inst: &isa.DynInst{Seq: 2}},
 		{Kind: obs.KindCommit, Cycle: 6, Seq: 2},
 	}
 	if got := Assemble(events, 0, 100); len(got) != 0 {

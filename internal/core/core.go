@@ -114,6 +114,20 @@ type Ballerino struct {
 	headStallM   uint64
 	headStallDep uint64
 	headEmpty    uint64
+
+	// cur holds this cycle's per-cycle charges for Tick, prev the last
+	// cycle's: a shared P-IQ alternates its examined head, so quiet
+	// cycles repeat the two in turn.
+	cur, prev stalls
+}
+
+// stalls tallies one cycle's examinations that did not issue: P-IQs found
+// empty, P-IQ heads held by a predicted M-dependence, P-IQ heads waiting
+// on data or on a port granted to another head, and an S-IQ window
+// stalled on steering.
+type stalls struct {
+	empty, mdep, dep uint64
+	steer            bool
 }
 
 // New builds a Ballerino scheduler over the shared P-SCB (renamer) and MDP.
@@ -182,7 +196,6 @@ func locPartition(code int) int { return code % 2 }
 // Issue implements sched.Scheduler. P-IQ head requests occupy the upper
 // prefix-sum inputs (§IV-E), so they are granted before S-IQ requests.
 func (b *Ballerino) Issue(cycle uint64, ctx *sched.IssueCtx) {
-	b.events.SelectInputs += uint64(b.cfg.Width * (b.cfg.NumPIQs + b.cfg.SIQWindow))
 	b.ports.Reset()
 	portUsed := &b.ports
 
@@ -202,28 +215,28 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 	for i := range b.piqs {
 		q := &b.piqs[i]
 		if q.len() == 0 {
-			b.headEmpty++
+			b.cur.empty++
 			continue
 		}
 		issuedAny := q.selectHeads(b.cfg.Options.IdealSharing, func(u *sched.UOp) container.Verdict {
-			b.events.QueueReads++
-			b.events.PSCBReads += 2
 			if portUsed.Used(u.Port) {
 				if ctx.PortBlocked != nil {
 					ctx.PortBlocked(u)
 				}
-				b.headStallDep++
+				b.cur.dep++
 				return container.Keep
 			}
 			if !ctx.Ready(u) {
 				if u.MDPWait != mdp.NoStore {
-					b.headStallM++
+					b.cur.mdep++
 				} else {
-					b.headStallDep++
+					b.cur.dep++
 				}
 				return container.Keep
 			}
 			ctx.Grant(u)
+			b.events.QueueReads++
+			b.events.PSCBReads += 2
 			b.events.PayloadReads++
 			portUsed.Set(u.Port)
 			b.issuedPIQ++
@@ -245,12 +258,11 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 // dependences. A steering failure stalls the window at that μop.
 func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	b.siq.SelectWindow(b.cfg.SIQWindow, func(u *sched.UOp) container.Verdict {
-		b.events.QueueReads++
-		b.events.PSCBReads += 2
-
 		ready := ctx.Ready(u)
 		if ready && !portUsed.Used(u.Port) {
 			ctx.Grant(u)
+			b.events.QueueReads++
+			b.events.PSCBReads += 2
 			b.events.PayloadReads++
 			portUsed.Set(u.Port)
 			b.issuedSIQ++
@@ -262,22 +274,53 @@ func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sche
 		// Not ready (or §IV-C case 3: ready but its port is taken):
 		// steer to the P-IQs; a failure blocks the window here.
 		if b.steer(u, cycle) {
+			b.events.QueueReads++
+			b.events.PSCBReads += 2
+			b.events.SteerOps++
 			if b.probe != nil {
 				b.probe(sched.ProbeSIQPromote, cycle, u.Seq(), 0)
 			}
 			return container.Take
 		}
-		b.steerStalls++
+		b.cur.steer = true
 		return container.Stop
 	})
+}
+
+// Tick implements sched.Scheduler: every P-IQ head and S-IQ window slot
+// feeds the select circuits each cycle, a head that did not issue is read
+// again, a stalled S-IQ window retries its steering, and each shared
+// P-IQ's head pointer follows the §IV-D policy once per cycle.
+func (b *Ballerino) Tick(n uint64) {
+	b.events.SelectInputs += n * uint64(b.cfg.Width*(b.cfg.NumPIQs+b.cfg.SIQWindow))
+	b.charge(b.cur, (n+1)/2)
+	b.charge(b.prev, n/2)
+	for i := range b.piqs {
+		b.piqs[i].tick(n)
+	}
+	b.prev, b.cur = b.cur, stalls{}
+}
+
+// charge applies the stalls of one cycle n times.
+func (b *Ballerino) charge(s stalls, n uint64) {
+	heads := s.mdep + s.dep
+	b.headEmpty += n * s.empty
+	b.headStallM += n * s.mdep
+	b.headStallDep += n * s.dep
+	b.events.QueueReads += n * heads
+	b.events.PSCBReads += 2 * n * heads
+	if s.steer {
+		b.steerStalls += n
+		b.events.SteerOps += n
+		b.events.QueueReads += n
+		b.events.PSCBReads += 2 * n
+	}
 }
 
 // steer places u into a P-IQ following M-dependences, then R-dependences,
 // then allocating an empty queue, then (Step 3) activating sharing mode.
 // It reports false when every option is exhausted — the steering stall.
 func (b *Ballerino) steer(u *sched.UOp, cycle uint64) bool {
-	b.events.SteerOps++
-
 	// 1) M-dependence-aware steering: follow the producer store (§III-B).
 	mdaCandidate := b.cfg.Options.MDASteering && u.D.Op.IsMem() && u.SSID >= 0
 	if mdaCandidate {

@@ -134,6 +134,7 @@ func TestSteeringStallBlocksWindow(t *testing.T) {
 	}
 	var granted []*sched.UOp
 	b.Issue(1, issueCtx(never, &granted))
+	b.Tick(1) // the steering stall is a per-cycle charge: it lands when the cycle closes
 	c := b.Counters()
 	if c["alloc_empty"] != 3 {
 		t.Errorf("alloc_empty = %d, want 3", c["alloc_empty"])

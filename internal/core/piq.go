@@ -28,6 +28,9 @@ type piq struct {
 
 	active     int  // partition whose head is examined (sharing mode)
 	lastIssued bool // whether any head issued last cycle
+	// switchHead records endCyclePolicy's decision to hand the head to
+	// the other partition; tick applies it once per cycle.
+	switchHead bool
 }
 
 // part is one FIFO partition over buf[base : base+size).
@@ -53,6 +56,7 @@ func (q *piq) reset() {
 	q.parts[1] = part{}
 	q.active = 0
 	q.lastIssued = false
+	q.switchHead = false
 }
 
 func (q *piq) len() int { return q.parts[0].count + q.parts[1].count }
@@ -151,14 +155,21 @@ func (q *piq) activeHeads(ideal bool) []int {
 	return append([]int(nil), hs[:n]...)
 }
 
-// endCycle applies the §IV-D head-pointer policy: keep the active head
-// after an issue (back-to-back single-cycle chains), otherwise give the
-// other dependence chain its opportunity. forceSwitch (ablation) alternates
-// unconditionally.
-func (q *piq) endCycle(issued bool) { q.endCyclePolicy(issued, false) }
+// endCycle closes one cycle under the §IV-D head-pointer policy (test
+// convenience: endCyclePolicy then tick).
+func (q *piq) endCycle(issued bool) {
+	q.endCyclePolicy(issued, false)
+	q.tick(1)
+}
 
+// endCyclePolicy applies the §IV-D head-pointer policy once this cycle's
+// heads were examined: keep the active head after an issue (back-to-back
+// single-cycle chains), otherwise give the other dependence chain its
+// opportunity. forceSwitch (ablation) alternates unconditionally. The
+// switch itself waits for tick; nothing before it reads the active head.
 func (q *piq) endCyclePolicy(issued, forceSwitch bool) {
 	q.lastIssued = issued
+	q.switchHead = false
 	if !q.sharing {
 		return
 	}
@@ -166,9 +177,16 @@ func (q *piq) endCyclePolicy(issued, forceSwitch bool) {
 	if !q.sharing {
 		return
 	}
-	if (forceSwitch || !issued) && q.parts[1-q.active].count > 0 {
+	q.switchHead = (forceSwitch || !issued) && q.parts[1-q.active].count > 0
+}
+
+// tick closes n cycles of the head policy. In a quiet stretch the decision
+// repeats every cycle, so the head alternates n times.
+func (q *piq) tick(n uint64) {
+	if q.switchHead && n&1 == 1 {
 		q.active = 1 - q.active
 	}
+	q.switchHead = false
 }
 
 // shareable reports whether the normal-mode queue satisfies the same-half

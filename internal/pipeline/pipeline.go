@@ -404,6 +404,11 @@ type Pipeline struct {
 	// lastCommitCycle feeds the forward-progress watchdog.
 	lastCommitCycle uint64
 
+	// stall is why dispatch could not move its head this cycle
+	// (topdown.StallNone if it could, or had nothing to move); tick
+	// charges the stall counters.
+	stall topdown.StallCause
+
 	// audit, when non-nil, verifies the simulation invariants every cycle;
 	// auditErr latches the first violation.
 	audit    *check.Auditor
@@ -790,8 +795,29 @@ func (p *Pipeline) step() {
 	p.issue()
 	p.dispatch()
 	p.fetch()
+	p.tick(1)
+}
+
+// tick closes the current cycle and the n−1 cycles after it. Every charge
+// that recurs per cycle is applied n times here, and nowhere else:
+//   - the scheduler occupancy sample (OccupancySum);
+//   - the stall counters of a dispatch head that could not move;
+//   - the scheduler's own per-cycle charges and state (Scheduler.Tick:
+//     select inputs, reads of heads that did not issue, P-IQ head
+//     alternation);
+//   - the clock.
+//
+// The per-cycle observers — top-down accounting, recorder heartbeats and
+// the auditor — run between the charges and the clock, as they always
+// have; they see each cycle on its own, so they are only ever attached
+// while n is 1.
+func (p *Pipeline) tick(n uint64) {
 	occ := p.sched.Occupancy()
-	p.stats.OccupancySum += uint64(occ)
+	p.stats.OccupancySum += n * uint64(occ)
+	if p.stall != topdown.StallNone {
+		p.chargeStall(n)
+	}
+	p.sched.Tick(n)
 	if p.td != nil {
 		p.td.EndCycle(occ,
 			p.cycle < p.fetchStallUntil && p.fetchStallIsRecovery,
@@ -806,7 +832,7 @@ func (p *Pipeline) step() {
 			p.auditErr = err
 		}
 	}
-	p.cycle++
+	p.cycle += n
 }
 
 // injectFlush performs a fault-injected mid-ROB flush. The bound is an
@@ -1168,28 +1194,35 @@ func (p *Pipeline) dispatch() {
 	}
 }
 
-// dispatchStall counts (and, when observed, reports) a cycle in which the
-// head μop could not move through rename/dispatch, splitting the legacy
-// conflated counter by cause.
+// dispatchStall records (and, when observed, reports) that the head μop
+// could not move through rename/dispatch this cycle; tick counts it.
 func (p *Pipeline) dispatchStall(u *sched.UOp, cause topdown.StallCause) {
-	p.stats.DispatchStall++
-	switch cause {
-	case topdown.StallROB:
-		p.stats.StallROBFull++
-	case topdown.StallLSQ:
-		p.stats.StallLSQFull++
-	case topdown.StallRename:
-		p.stats.StallRename++
-	case topdown.StallIQ:
-		p.stats.StallIQFull++
-	case topdown.StallInjected:
-		p.stats.StallInjected++
-	}
+	p.stall = cause
 	p.td.NoteDispatchStall(cause)
 	if p.obs != nil {
 		p.obs.Emit(obs.Event{Kind: obs.KindStall, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op})
 	}
+}
+
+// chargeStall counts n cycles of this cycle's dispatch stall, splitting
+// the legacy conflated counter by cause.
+func (p *Pipeline) chargeStall(n uint64) {
+	p.stats.DispatchStall += n
+	switch p.stall {
+	case topdown.StallROB:
+		p.stats.StallROBFull += n
+	case topdown.StallLSQ:
+		p.stats.StallLSQFull += n
+	case topdown.StallRename:
+		p.stats.StallRename += n
+		p.rn.NoteStalls(n)
+	case topdown.StallIQ:
+		p.stats.StallIQFull += n
+	case topdown.StallInjected:
+		p.stats.StallInjected += n
+	}
+	p.stall = topdown.StallNone
 }
 
 // renameOne performs the two-stage rename of §IV-B for the head μop:

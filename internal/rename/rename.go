@@ -185,7 +185,6 @@ func (r *Renamer) Rename(d *isa.DynInst) (src [2]PhysReg, dst PhysReg, rec Entry
 		pool = &r.freeInt
 	}
 	if len(*pool) == 0 {
-		r.stallsFree++
 		return src, PhysNone, rec, false
 	}
 	dst = (*pool)[len(*pool)-1]
@@ -321,3 +320,8 @@ func (r *Renamer) ReserveProducer(p PhysReg) {
 
 // Stats returns (renames performed, dispatch stalls due to empty free list).
 func (r *Renamer) Stats() (uint64, uint64) { return r.renames, r.stallsFree }
+
+// NoteStalls counts n cycles in which Rename refused the dispatch head for
+// want of a free physical register. The caller charges them once per
+// stalled cycle; Rename itself leaves all state alone when it refuses.
+func (r *Renamer) NoteStalls(n uint64) { r.stallsFree += n }

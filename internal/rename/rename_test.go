@@ -93,6 +93,11 @@ func TestFreeListExhaustionStalls(t *testing.T) {
 	if _, _, _, ok := r.Rename(aluOp(isa.R(1), isa.RegNone, isa.RegNone)); ok {
 		t.Fatal("rename succeeded with empty free list")
 	}
+	// A refusal changes nothing; the pipeline charges each stalled cycle.
+	if _, stalls := r.Stats(); stalls != 0 {
+		t.Errorf("stallsFree = %d after a refusal, want 0", stalls)
+	}
+	r.NoteStalls(1)
 	_, stalls := r.Stats()
 	if stalls != 1 {
 		t.Errorf("stallsFree = %d", stalls)

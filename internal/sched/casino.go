@@ -22,6 +22,10 @@ type CASINO struct {
 	ports  PortMask
 	issued uint64
 	passed uint64
+
+	// blocked counts this cycle's examined μops that neither issued nor
+	// moved on; Tick charges their reads.
+	blocked uint64
 }
 
 // NewCASINO builds the cascade. sizes lists every queue's capacity in
@@ -79,25 +83,26 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 
 	// Final in-order IQ: strict program-order issue from the head.
 	last := &s.queues[len(s.queues)-1]
-	s.events.SelectInputs += uint64(s.width * s.window * len(s.queues))
 	examined := 0
 	last.SelectOldest(func(u *UOp) container.Verdict {
 		if examined >= s.window || granted >= s.width {
 			return container.Stop
 		}
 		examined++
-		s.events.QueueReads++
-		s.events.PSCBReads += 2
 		if portUsed.Used(u.Port) {
 			if ctx.PortBlocked != nil {
 				ctx.PortBlocked(u)
 			}
+			s.blocked++
 			return container.Stop // in-order: the head blocks everything younger
 		}
 		if !ctx.Ready(u) {
+			s.blocked++
 			return container.Stop // in-order: the head blocks everything younger
 		}
 		ctx.Grant(u)
+		s.events.QueueReads++
+		s.events.PSCBReads += 2
 		s.events.PayloadReads++
 		portUsed.Set(u.Port)
 		s.issued++
@@ -121,8 +126,6 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 		}
 		passedHere := 0
 		q.SelectWindow(examine, func(u *UOp) container.Verdict {
-			s.events.QueueReads++
-			s.events.PSCBReads += 2
 			issue := false
 			if granted >= s.width {
 				// all issue ports consumed; fall through to pass
@@ -135,6 +138,8 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 			}
 			if issue {
 				ctx.Grant(u)
+				s.events.QueueReads++
+				s.events.PSCBReads += 2
 				s.events.PayloadReads++
 				portUsed.Set(u.Port)
 				s.issued++
@@ -143,15 +148,26 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 			}
 			if passedHere < s.pass && !next.Full() {
 				next.Push(u)
-				s.events.QueueReads++
+				s.events.QueueReads += 2
+				s.events.PSCBReads += 2
 				s.events.QueueWrites++ // the copy the paper charges CASINO for
 				s.passed++
 				passedHere++
 				return container.Take
 			}
+			s.blocked++
 			return container.Keep
 		})
 	}
+}
+
+// Tick implements Scheduler: every queue's select circuits evaluate their
+// whole window each cycle, and a μop that stays put is read again.
+func (s *CASINO) Tick(n uint64) {
+	s.events.SelectInputs += n * uint64(s.width*s.window*len(s.queues))
+	s.events.QueueReads += n * s.blocked
+	s.events.PSCBReads += 2 * n * s.blocked
+	s.blocked = 0
 }
 
 // Complete implements Scheduler. Readiness is re-examined at queue heads.

@@ -43,7 +43,17 @@ type CES struct {
 	headStallM   uint64 // head is a load/store blocked by a predicted M-dep
 	headStallDep uint64 // head waits for register data
 	headEmpty    uint64 // queue empty
+
+	// This cycle's charges for Tick: heads that did not issue, and a
+	// refused dispatch (refusedReady: its sources were ready).
+	idle                  headStalls
+	refused, refusedReady bool
 }
+
+// headStalls tallies one cycle's dependence-head examinations that did
+// not issue: queues found empty, heads held by a predicted M-dependence,
+// and heads waiting on data or on a port granted to another head.
+type headStalls struct{ empty, mdep, dep uint64 }
 
 // NewCES builds a CES scheduler with n P-IQs of the given depth. rn is the
 // shared physical-register scoreboard; m (with mda=true) enables
@@ -96,8 +106,6 @@ func (s *CES) SetProbe(p Probe) { s.probe = p }
 // Dispatch implements Scheduler: steer along M/R-dependences, allocating a
 // new P-IQ for dependence heads, stalling when no queue is available.
 func (s *CES) Dispatch(u *UOp, cycle uint64) bool {
-	s.events.SteerOps++
-	s.events.PSCBReads += 2
 	ready := readyAtDispatch(s.rn, u, cycle)
 	mdaCandidate := s.mda && u.D.Op.IsMem() && u.SSID >= 0
 
@@ -135,11 +143,7 @@ func (s *CES) Dispatch(u *UOp, cycle uint64) bool {
 			return true
 		}
 	}
-	if ready {
-		s.stallReady++
-	} else {
-		s.stallNonReady++
-	}
+	s.refused, s.refusedReady = true, ready
 	return false
 }
 
@@ -162,9 +166,12 @@ func (s *CES) steerTarget(u *UOp) (int, bool) {
 	return 0, false
 }
 
-// enqueue appends u to P-IQ iq and records producer locations in the P-SCB
-// (and LFST for stores under MDA steering).
+// enqueue charges the steering decision, appends u to P-IQ iq and records
+// producer locations in the P-SCB (and LFST for stores under MDA
+// steering).
 func (s *CES) enqueue(iq int, u *UOp) {
+	s.events.SteerOps++
+	s.events.PSCBReads += 2
 	s.iqs[iq].Push(u)
 	s.events.QueueWrites++
 	if u.Dst != rename.PhysNone {
@@ -179,39 +186,62 @@ func (s *CES) enqueue(iq int, u *UOp) {
 // Issue implements Scheduler: only dependence heads (queue heads) are
 // examined; per-port prefix-sum circuits grant one each.
 func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
-	s.events.SelectInputs += uint64(s.width * len(s.iqs))
 	s.ports.Reset()
 	portUsed := &s.ports
 	for i := range s.iqs {
 		q := &s.iqs[i]
 		if q.Empty() {
-			s.headEmpty++
+			s.idle.empty++
 			continue
 		}
 		u := q.Head()
-		s.events.QueueReads++
-		s.events.PSCBReads += 2
 		if portUsed.Used(u.Port) {
 			if ctx.PortBlocked != nil {
 				ctx.PortBlocked(u)
 			}
-			s.headStallDep++
+			s.idle.dep++
 			continue
 		}
 		if !ctx.Ready(u) {
 			if u.MDPWait != mdp.NoStore {
-				s.headStallM++
+				s.idle.mdep++
 			} else {
-				s.headStallDep++
+				s.idle.dep++
 			}
 			continue
 		}
 		ctx.Grant(u)
+		s.events.QueueReads++
+		s.events.PSCBReads += 2
 		s.events.PayloadReads++
 		portUsed.Set(u.Port)
 		q.PopFront()
 		s.issued++
 		s.headIssue++
+	}
+}
+
+// Tick implements Scheduler: every P-IQ head feeds the select circuits
+// each cycle, a head that did not issue is read again, and a refused
+// dispatch repeats its steering attempt.
+func (s *CES) Tick(n uint64) {
+	s.events.SelectInputs += n * uint64(s.width*len(s.iqs))
+	h := s.idle
+	s.headEmpty += n * h.empty
+	s.headStallM += n * h.mdep
+	s.headStallDep += n * h.dep
+	s.events.QueueReads += n * (h.mdep + h.dep)
+	s.events.PSCBReads += 2 * n * (h.mdep + h.dep)
+	s.idle = headStalls{}
+	if s.refused {
+		s.events.SteerOps += n
+		s.events.PSCBReads += 2 * n
+		if s.refusedReady {
+			s.stallReady += n
+		} else {
+			s.stallNonReady += n
+		}
+		s.refused = false
 	}
 }
 

@@ -102,6 +102,9 @@ func (s *FXA) Issue(cycle uint64, ctx *IssueCtx) {
 	s.backend.Issue(cycle, ctx)
 }
 
+// Tick implements Scheduler: the IXU has no per-cycle charges of its own.
+func (s *FXA) Tick(n uint64) { s.backend.Tick(n) }
+
 // Complete implements Scheduler.
 func (s *FXA) Complete(dst rename.PhysReg, cycle uint64) {
 	s.backend.Complete(dst, cycle)

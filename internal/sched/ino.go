@@ -15,6 +15,10 @@ type InO struct {
 	issued  uint64
 	ports   PortMask
 	stalls  uint64 // cycles the head was blocked while μops waited
+
+	// blocked records that this cycle's Issue stopped at a head it read
+	// but could not issue; Tick charges the read and the stall.
+	blocked bool
 }
 
 // NewInO returns an in-order scheduler with the given queue capacity and
@@ -54,26 +58,37 @@ func (s *InO) Issue(cycle uint64, ctx *IssueCtx) {
 		if granted >= s.width {
 			return container.Stop
 		}
-		s.events.QueueReads++
-		s.events.PSCBReads += 2
 		if !ctx.Ready(u) {
-			s.stalls++
+			s.blocked = true
 			return container.Stop
 		}
 		if portUsed.Used(u.Port) {
 			if ctx.PortBlocked != nil {
 				ctx.PortBlocked(u)
 			}
-			s.stalls++
+			s.blocked = true
 			return container.Stop
 		}
 		ctx.Grant(u)
+		s.events.QueueReads++
+		s.events.PSCBReads += 2
 		s.events.PayloadReads++
 		portUsed.Set(u.Port)
 		s.issued++
 		granted++
 		return container.Take
 	})
+}
+
+// Tick implements Scheduler: a blocked head is read, and stalls, every
+// cycle until it issues.
+func (s *InO) Tick(n uint64) {
+	if s.blocked {
+		s.events.QueueReads += n
+		s.events.PSCBReads += 2 * n
+		s.stalls += n
+		s.blocked = false
+	}
 }
 
 // Complete implements Scheduler. The scoreboard core re-reads readiness at

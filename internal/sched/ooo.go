@@ -42,6 +42,10 @@ type OoO struct {
 	events EnergyEvents
 	issued uint64
 	ports  PortMask
+
+	// selecting records that this cycle's Issue found the queue occupied:
+	// the select circuits then evaluate every input, which Tick charges.
+	selecting bool
 }
 
 // NewOoO returns a unified out-of-order IQ with the given entry count and
@@ -126,13 +130,10 @@ func (s *OoO) indexByAge(u *UOp, idx int) {
 // Issue implements Scheduler: per issue port, the prefix-sum circuit grants
 // the highest-priority requesting entry.
 func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
-	occ := s.Occupancy()
-	if occ == 0 {
+	if s.Occupancy() == 0 {
 		return
 	}
-	// Each port's prefix-sum circuit evaluates all N inputs every cycle
-	// the queue is active.
-	s.events.SelectInputs += uint64(s.width * len(s.slots))
+	s.selecting = true
 
 	s.ports.Reset()
 	portUsed := &s.ports
@@ -196,6 +197,15 @@ func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
 			s.issued++
 			granted++
 		}
+	}
+}
+
+// Tick implements Scheduler: each port's prefix-sum circuit evaluates all
+// N inputs every cycle the queue is active.
+func (s *OoO) Tick(n uint64) {
+	if s.selecting {
+		s.events.SelectInputs += n * uint64(s.width*len(s.slots))
+		s.selecting = false
 	}
 }
 

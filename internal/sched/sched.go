@@ -148,10 +148,24 @@ type Scheduler interface {
 	// Capacity returns the total scheduling-window entries.
 	Capacity() int
 	// Dispatch offers a renamed μop in program order. It returns false
-	// when the scheduler cannot accept it this cycle (dispatch stalls).
+	// when the scheduler cannot accept it this cycle (dispatch stalls);
+	// a refusal's charges recur every stalled cycle, so they are
+	// recorded for Tick.
 	Dispatch(u *UOp, cycle uint64) bool
 	// Issue performs this cycle's wakeup/select, granting ready μops.
+	// Charges that recur every cycle — select inputs, and the reads and
+	// stall counters of examined μops that did not issue — are recorded
+	// for Tick rather than charged here.
 	Issue(cycle uint64, ctx *IssueCtx)
+	// Tick closes the current cycle and the n−1 cycles after it: it
+	// applies n times the per-cycle charges this cycle's Issue and
+	// Dispatch recorded, and the per-cycle state updates (such as the
+	// P-IQ head alternation). The pipeline passes n > 1 only when the
+	// cycles after this one are quiet — nothing is fetched, dispatched,
+	// granted, moved between queues, completed or committed — so each
+	// of them repeats this cycle or, for state that alternates, the one
+	// before it.
+	Tick(n uint64)
 	// Complete notifies that the value of dst became available (wakeup
 	// broadcast in CAM-based designs).
 	Complete(dst rename.PhysReg, cycle uint64)

@@ -334,6 +334,7 @@ func TestCESStallsWhenNoQueueFree(t *testing.T) {
 	if s.Dispatch(mkUOp(2, isa.OpIntALU, 2), 0) {
 		t.Fatal("dispatch succeeded with no free P-IQ")
 	}
+	s.Tick(1) // the stall is a per-cycle charge: it lands when the cycle closes
 	c := s.Counters()
 	if c["stall_ready"]+c["stall_nonready"] != 1 {
 		t.Errorf("stalls = %d, want 1", c["stall_ready"]+c["stall_nonready"])

@@ -404,6 +404,11 @@ type Pipeline struct {
 	// lastCommitCycle feeds the forward-progress watchdog.
 	lastCommitCycle uint64
 
+	// stepOnly turns quiet-cycle skipping off, so the loop steps every
+	// cycle: the reference stepper the differential tests hold the
+	// skipping loop to. Nothing outside the tests sets it.
+	stepOnly bool
+
 	// stall is why dispatch could not move its head this cycle
 	// (topdown.StallNone if it could, or had nothing to move); tick
 	// charges the stall counters.

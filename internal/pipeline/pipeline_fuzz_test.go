@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/config"
@@ -13,7 +14,9 @@ import (
 // fuzzer-chosen random program runs through a fuzzer-chosen architecture
 // and width with the invariant auditor enabled and — for odd seeds — a
 // deterministic fault campaign injected. Any invariant violation, deadlock
-// or lost μop fails the target.
+// or lost μop fails the target. The same trace then runs plainly (no
+// auditor, no faults) through the skipping loop and the reference
+// stepper, whose digests must match.
 func FuzzPipeline(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2))
 	f.Add(uint64(42), uint8(7), uint8(0))
@@ -47,6 +50,25 @@ func FuzzPipeline(f *testing.F) {
 		}
 		if got := p.Stats().Committed; got != uint64(len(tr)) {
 			t.Fatalf("seed %d %s %d-wide: committed %d of %d", seed, arch, width, got, len(tr))
+		}
+
+		var digests [2][]byte
+		for i, stepper := range []bool{true, false} {
+			p, err := pipeline.New(m.Pipeline, tr, m.Factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stepper {
+				pipeline.StepEveryCycle(p)
+			}
+			if _, err := p.Run(uint64(len(tr))); err != nil {
+				t.Fatalf("seed %d %s %d-wide, plain run: %v", seed, arch, width, err)
+			}
+			digests[i] = goldenDigest(p, arch, "fuzz")
+		}
+		if !bytes.Equal(digests[0], digests[1]) {
+			t.Fatalf("seed %d %s %d-wide: skipping loop diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s",
+				seed, arch, width, digests[0], digests[1])
 		}
 	})
 }

@@ -24,6 +24,7 @@ func (s *fakeSched) Capacity() int                    { return 64 }
 func (s *fakeSched) Dispatch(*sched.UOp, uint64) bool { return true }
 func (s *fakeSched) Issue(uint64, *sched.IssueCtx)    {}
 func (s *fakeSched) Tick(uint64)                      {}
+func (s *fakeSched) Wake(uint64) uint64               { return sched.NoWake }
 func (s *fakeSched) Complete(rename.PhysReg, uint64)  {}
 func (s *fakeSched) Flush(uint64)                     {}
 func (s *fakeSched) Occupancy() int                   { return s.occ }

@@ -117,8 +117,9 @@ type Ballerino struct {
 
 	// cur holds this cycle's per-cycle charges for Tick, prev the last
 	// cycle's: a shared P-IQ alternates its examined head, so quiet
-	// cycles repeat the two in turn.
+	// cycles repeat the two in turn. moved records a steered μop.
 	cur, prev stalls
+	moved     bool
 }
 
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
@@ -277,6 +278,7 @@ func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sche
 			b.events.QueueReads++
 			b.events.PSCBReads += 2
 			b.events.SteerOps++
+			b.moved = true
 			if b.probe != nil {
 				b.probe(sched.ProbeSIQPromote, cycle, u.Seq(), 0)
 			}
@@ -299,6 +301,16 @@ func (b *Ballerino) Tick(n uint64) {
 		b.piqs[i].tick(n)
 	}
 	b.prev, b.cur = b.cur, stalls{}
+	b.moved = false
+}
+
+// Wake implements sched.Scheduler: a μop steered this cycle is examined
+// afresh at its P-IQ next cycle.
+func (b *Ballerino) Wake(now uint64) uint64 {
+	if b.moved {
+		return now + 1
+	}
+	return sched.NoWake
 }
 
 // charge applies the stalls of one cycle n times.

@@ -12,6 +12,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/check"
@@ -238,6 +239,9 @@ const wheelFarSpan = 1 << 13
 // order is identical to the chain-based wheel it replaces.
 type completionWheel struct {
 	heads, tails []*sched.UOp
+	// due has bit (c & mask) set while bucket c holds an event, so the
+	// next event cycle is a TrailingZeros64 scan (nextDue).
+	due [wheelSpan / 64]uint64
 
 	far     *container.QuantumQueue[*sched.UOp]
 	farBase uint64
@@ -263,10 +267,43 @@ func (w *completionWheel) pushNear(u *sched.UOp, done uint64) {
 	i := done & (wheelSpan - 1)
 	if w.tails[i] == nil {
 		w.heads[i] = u
+		w.due[i>>6] |= 1 << (i & 63)
 	} else {
 		w.tails[i].WheelNext = u
 	}
 	w.tails[i] = u
+}
+
+// take empties the bucket due at cycle and returns its events, linked in
+// push order (nil if none).
+func (w *completionWheel) take(cycle uint64) *sched.UOp {
+	i := cycle & (wheelSpan - 1)
+	u := w.heads[i]
+	if u != nil {
+		w.heads[i], w.tails[i] = nil, nil
+		w.due[i>>6] &^= 1 << (i & 63)
+	}
+	return u
+}
+
+// nextDue returns the first cycle after now whose bucket holds an event,
+// or the next wheelSpan-aligned cycle, whichever comes first. A bucket at
+// or behind now's slot is due at or past that boundary, and far and
+// overflow events reach their buckets at a rotation — which runs on the
+// boundary — before they are due, so the scan stops there.
+func (w *completionWheel) nextDue(now uint64) uint64 {
+	base := now &^ (wheelSpan - 1)
+	from := now&(wheelSpan-1) + 1
+	for i := from >> 6; i < wheelSpan/64; i++ {
+		word := w.due[i]
+		if i == from>>6 {
+			word &= ^uint64(0) << (from & 63)
+		}
+		if word != 0 {
+			return base + i<<6 + uint64(bits.TrailingZeros64(word))
+		}
+	}
+	return base + wheelSpan
 }
 
 // push schedules u's completion event at cycle done (done > now, because
@@ -403,6 +440,12 @@ type Pipeline struct {
 
 	// lastCommitCycle feeds the forward-progress watchdog.
 	lastCommitCycle uint64
+
+	// busy marks a cycle in which a stage changed machine state: it
+	// fetched (or looked up the instruction cache), dispatched, granted,
+	// completed or committed. quiet records that the cycle before was
+	// not busy (see stretch).
+	busy, quiet bool
 
 	// stepOnly turns quiet-cycle skipping off, so the loop steps every
 	// cycle: the reference stepper the differential tests hold the
@@ -792,15 +835,76 @@ func (p *Pipeline) drained() bool {
 	return p.fetchIdx >= len(p.trace) && p.rob.n == 0 && p.decodeQ.n == 0
 }
 
-// step advances one cycle, stages in reverse pipeline order.
+// step advances one cycle, stages in reverse pipeline order — and, when
+// the cycles after it are quiet, past all of them (see stretch).
 func (p *Pipeline) step() {
+	p.busy = false
 	p.commit()
 	p.processCompletions()
 	p.injectFlush()
 	p.issue()
 	p.dispatch()
 	p.fetch()
-	p.tick(1)
+	p.tick(p.stretch())
+}
+
+// stretch returns how many cycles the current one closes: 1, or — on a
+// run that may skip, after two quiet cycles in a row — every cycle up to
+// the next one that can change machine state. A quiet cycle fetches,
+// dispatches, grants, completes and commits nothing, and the scheduler
+// moves no μop between its queues; what remains are its per-cycle
+// charges, which tick applies. Two in a row, because a shared P-IQ
+// alternates its examined head: by then both heads were found not ready,
+// and every quiet cycle up to the next event repeats one of the two.
+//
+// Runs with top-down accounting, a recorder, the auditor or a fault plan
+// attached keep stepping: what those produce is per cycle.
+func (p *Pipeline) stretch() uint64 {
+	if p.busy || p.stepOnly || p.td != nil || p.obs != nil || p.audit != nil || p.inj != nil {
+		p.quiet = false
+		return 1
+	}
+	wake := p.sched.Wake(p.cycle)
+	if wake == p.cycle+1 || !p.quiet {
+		p.quiet = wake != p.cycle+1
+		return 1
+	}
+	p.quiet = false // the cycle the jump lands on starts a new streak
+	return p.nextEvent(wake) - p.cycle
+}
+
+// nextEvent returns the first cycle after the current one at which
+// machine state can change while nothing is in motion — the earliest of:
+//   - the next completion, or the next wheelSpan-aligned cycle, where the
+//     wheel rotates and RunContext polls for cancellation;
+//   - the scheduler's own timers (wake);
+//   - the end of a fetch stall;
+//   - the cycle the decode queue's head reaches rename;
+//   - the end of a non-pipelined unit's busy period;
+//   - the cycle past the MaxCycles budget, and the cycle the no-commit
+//     watchdog fires, so both trip exactly where stepping trips them.
+func (p *Pipeline) nextEvent(wake uint64) uint64 {
+	next := min(p.wheel.nextDue(p.cycle), wake)
+	if p.fetchStallUntil > p.cycle {
+		next = min(next, p.fetchStallUntil)
+	}
+	if p.decodeQ.n > 0 {
+		if v := p.decodeQ.at(0).visibleAt; v > p.cycle {
+			next = min(next, v)
+		}
+	}
+	for _, b := range p.divBusyUntil {
+		if b > p.cycle {
+			next = min(next, b)
+		}
+	}
+	if m := p.cfg.MaxCycles; m > 0 && m < next {
+		next = m + 1
+	}
+	if w := p.cfg.StallCycles; w > 0 && w < next-p.lastCommitCycle {
+		next = p.lastCommitCycle + w + 1
+	}
+	return next
 }
 
 // tick closes the current cycle and the n−1 cycles after it. Every charge
@@ -863,6 +967,7 @@ func (p *Pipeline) commit() {
 		if !u.Issued || u.CompleteCycle > p.cycle {
 			return
 		}
+		p.busy = true
 		p.rob.popFront()
 		p.rn.Commit(rec)
 		if u.D.IsStore() {
@@ -910,12 +1015,10 @@ func (p *Pipeline) processCompletions() {
 	if p.cycle&(wheelSpan-1) == 0 && (!p.wheel.far.Empty() || p.wheel.ovCount > 0) {
 		p.wheel.rotate(p.cycle)
 	}
-	slot := p.cycle & (wheelSpan - 1)
-	u := p.wheel.heads[slot]
-	if u == nil {
-		return
+	u := p.wheel.take(p.cycle)
+	if u != nil {
+		p.busy = true
 	}
-	p.wheel.heads[slot], p.wheel.tails[slot] = nil, nil
 	for u != nil {
 		next := u.WheelNext
 		u.WheelNext = nil
@@ -1088,6 +1191,7 @@ func (p *Pipeline) issue() {
 // units, store queue and memory hierarchy, and wakes up consumers through
 // the P-SCB.
 func (p *Pipeline) grant(u *sched.UOp) {
+	p.busy = true
 	u.Issued = true
 	u.IssueCycle = p.cycle
 	p.stats.Issued++
@@ -1187,6 +1291,7 @@ func (p *Pipeline) dispatch() {
 		}
 		// Accepted: enter ROB and LSQ. Push before popping the decode slot
 		// (de points into the ring's storage).
+		p.busy = true
 		u.DispatchCycle = p.cycle
 		u.ROB = p.rob.n
 		p.rob.push(robEntry{u: u, rec: de.rec})
@@ -1314,6 +1419,7 @@ func (p *Pipeline) fetch() {
 			return
 		}
 		d := &p.trace[p.fetchIdx]
+		p.busy = true
 
 		// Instruction cache: 4-byte slots; a miss stalls the front end.
 		iAddr := uint64(d.PC) * 4

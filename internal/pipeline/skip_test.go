@@ -22,8 +22,8 @@ import (
 // jumps over quiet cycles or steps through them.
 
 const (
-	skipOps    = 3_000
-	skipWarmup = 500
+	skipOps    = 10_000
+	skipWarmup = 1_000
 )
 
 // skipKernels are the differential test's kernels: the standard suite and

@@ -17,9 +17,7 @@ func mkUOp(seq, done uint64) *sched.UOp {
 // drainBucket pops one due-cycle bucket the way processCompletions does,
 // returning the events in their linked order.
 func drainBucket(w *completionWheel, cycle uint64) []*sched.UOp {
-	slot := cycle & (wheelSpan - 1)
-	u := w.heads[slot]
-	w.heads[slot], w.tails[slot] = nil, nil
+	u := w.take(cycle)
 	var out []*sched.UOp
 	for u != nil {
 		next := u.WheelNext

@@ -24,8 +24,9 @@ type CASINO struct {
 	passed uint64
 
 	// blocked counts this cycle's examined μops that neither issued nor
-	// moved on; Tick charges their reads.
+	// moved on; Tick charges their reads. moved records a pass.
 	blocked uint64
+	moved   bool
 }
 
 // NewCASINO builds the cascade. sizes lists every queue's capacity in
@@ -153,6 +154,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 				s.events.QueueWrites++ // the copy the paper charges CASINO for
 				s.passed++
 				passedHere++
+				s.moved = true
 				return container.Take
 			}
 			s.blocked++
@@ -168,6 +170,16 @@ func (s *CASINO) Tick(n uint64) {
 	s.events.QueueReads += n * s.blocked
 	s.events.PSCBReads += 2 * n * s.blocked
 	s.blocked = 0
+	s.moved = false
+}
+
+// Wake implements Scheduler: a μop passed on this cycle is examined afresh
+// in its new queue next cycle.
+func (s *CASINO) Wake(now uint64) uint64 {
+	if s.moved {
+		return now + 1
+	}
+	return NoWake
 }
 
 // Complete implements Scheduler. Readiness is re-examined at queue heads.

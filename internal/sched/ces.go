@@ -245,6 +245,9 @@ func (s *CES) Tick(n uint64) {
 	}
 }
 
+// Wake implements Scheduler: the P-IQs act only on pipeline events.
+func (s *CES) Wake(uint64) uint64 { return NoWake }
+
 // Complete implements Scheduler. Readiness propagates through the P-SCB;
 // no CAM broadcast.
 func (s *CES) Complete(rename.PhysReg, uint64) {}

@@ -23,6 +23,11 @@ type FXA struct {
 	events   EnergyEvents
 	ixuExecs uint64
 	beExecs  uint64
+
+	// retry is when a simple μop the back-end refused this cycle could
+	// instead enter the IXU: its operands then arrive within ixuDepth
+	// cycles of dispatch.
+	retry uint64
 }
 
 type ixuOp struct {
@@ -60,8 +65,9 @@ func (s *FXA) Occupancy() int { return s.backend.Occupancy() + len(s.ixu) }
 // by the time it reaches the IXU's execution stage is captured by the IXU;
 // anything else goes to the back-end IQ.
 func (s *FXA) Dispatch(u *UOp, cycle uint64) bool {
+	ready := rename.NeverReady
 	if ixuEligible(u.D.Op) {
-		ready := s.rn.ReadyAt(u.Src[0])
+		ready = s.rn.ReadyAt(u.Src[0])
 		if r2 := s.rn.ReadyAt(u.Src[1]); r2 > ready {
 			ready = r2
 		}
@@ -80,6 +86,9 @@ func (s *FXA) Dispatch(u *UOp, cycle uint64) bool {
 		}
 	}
 	if !s.backend.Dispatch(u, cycle) {
+		if ready != rename.NeverReady {
+			s.retry = ready - s.ixuDepth
+		}
 		return false
 	}
 	s.beExecs++
@@ -103,7 +112,25 @@ func (s *FXA) Issue(cycle uint64, ctx *IssueCtx) {
 }
 
 // Tick implements Scheduler: the IXU has no per-cycle charges of its own.
-func (s *FXA) Tick(n uint64) { s.backend.Tick(n) }
+func (s *FXA) Tick(n uint64) {
+	s.backend.Tick(n)
+	s.retry = 0
+}
+
+// Wake implements Scheduler: the IXU's timers are the execution cycles of
+// its μops and the cycle a refused simple μop could enter it.
+func (s *FXA) Wake(now uint64) uint64 {
+	w := NoWake
+	if s.retry > now {
+		w = s.retry
+	}
+	for _, op := range s.ixu {
+		if op.at > now && op.at < w {
+			w = op.at
+		}
+	}
+	return w
+}
 
 // Complete implements Scheduler.
 func (s *FXA) Complete(dst rename.PhysReg, cycle uint64) {

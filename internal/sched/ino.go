@@ -91,6 +91,9 @@ func (s *InO) Tick(n uint64) {
 	}
 }
 
+// Wake implements Scheduler: the queue acts only on pipeline events.
+func (s *InO) Wake(uint64) uint64 { return NoWake }
+
 // Complete implements Scheduler. The scoreboard core re-reads readiness at
 // the head; no CAM broadcast energy.
 func (s *InO) Complete(rename.PhysReg, uint64) {}

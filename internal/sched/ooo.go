@@ -209,6 +209,9 @@ func (s *OoO) Tick(n uint64) {
 	}
 }
 
+// Wake implements Scheduler: the queue acts only on pipeline events.
+func (s *OoO) Wake(uint64) uint64 { return NoWake }
+
 // Complete implements Scheduler: a destination-tag broadcast compares
 // against both source fields of every live entry.
 func (s *OoO) Complete(dst rename.PhysReg, _ uint64) {

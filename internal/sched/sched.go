@@ -166,6 +166,12 @@ type Scheduler interface {
 	// of them repeats this cycle or, for state that alternates, the one
 	// before it.
 	Tick(n uint64)
+	// Wake returns the first cycle after now at which the scheduler can
+	// change state without a grant, a dispatch or a completion: now+1
+	// when this cycle's Issue moved a μop between its own queues, else
+	// the earliest of its own timers, else NoWake. The pipeline asks
+	// after Issue and Dispatch, before Tick.
+	Wake(now uint64) uint64
 	// Complete notifies that the value of dst became available (wakeup
 	// broadcast in CAM-based designs).
 	Complete(dst rename.PhysReg, cycle uint64)
@@ -179,6 +185,10 @@ type Scheduler interface {
 	// the figure harnesses (steering outcomes, issue sources, ...).
 	Counters() map[string]uint64
 }
+
+// NoWake is the Wake result of a scheduler that waits only on pipeline
+// events.
+const NoWake = ^uint64(0)
 
 // QueueSnapshot is a read-only view of one internal scheduler queue, used
 // by the invariant auditor (internal/check) and the deadlock autopsy. Seqs

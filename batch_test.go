@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/prog"
+	"repro/uprog"
 )
 
 // normalizeManifest zeroes the wall-time identity fields — the only
@@ -165,8 +169,9 @@ func TestPrepareTraceInjection(t *testing.T) {
 
 // TestTraceSizeCountsBothImages: a cached trace's share of the LRU
 // budget covers both memory images it holds — the program's initial image
-// and the final state. For a memory-bound kernel the two are about the
-// same size, so counting only one under-charges the budget by half.
+// and the final state's overlay, the words the run wrote on top of that
+// image. A store-heavy kernel writes much of its footprint, so counting
+// only the initial image under-charges the budget.
 func TestTraceSizeCountsBothImages(t *testing.T) {
 	tc := NewTraceCache(0)
 	tr, err := tc.Prepare(context.Background(), Config{Workload: "stream", MaxOps: 1000, FootprintBytes: 1 << 20})
@@ -176,6 +181,61 @@ func TestTraceSizeCountsBothImages(t *testing.T) {
 	images := int64(len(tr.tr.Program.InitMem)+len(tr.tr.Final.Mem)) * mapEntry
 	if got := tc.Stats().BytesUsed; got < images {
 		t.Errorf("BytesUsed = %d, want at least %d for the initial and final memory images", got, images)
+	}
+}
+
+// TestSharedImageConcurrentRuns: executions share their program's memory
+// image instead of copying it. Two concurrent functional executions and an
+// audited run — whose golden model replays every store — all read one map
+// while their stores go to their own overlays. Under -race no access may
+// write the image, and it must come out unchanged.
+func TestSharedImageConcurrentRuns(t *testing.T) {
+	b := uprog.NewBuilder("shared-image")
+	for i := 0; i < 64; i++ {
+		b.SetMem(0x1000+uint64(8*i), int64(i))
+	}
+	b.MovImm(uprog.R(1), 0x1000)
+	top := b.NewLabel()
+	b.Bind(top)
+	b.Load(uprog.R(2), uprog.R(1), 0)
+	b.AddImm(uprog.R(2), uprog.R(2), 7)
+	b.Store(uprog.R(2), uprog.R(1), 0)
+	b.AddImm(uprog.R(1), uprog.R(1), 8)
+	b.Jmp(top)
+	p := b.Build()
+	want := maps.Clone(p.Internal().InitMem)
+
+	const ops = 2_000
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := prog.ExecuteContext(context.Background(), p.Internal(), ops)
+			if !errors.Is(err, prog.ErrFuel) {
+				t.Errorf("ExecuteContext: %v", err)
+				return
+			}
+			if got := tr.Final.LoadWord(0x1000); got != 7 {
+				t.Errorf("final word 0x1000 = %d, want 7 (the store's value)", got)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res, err := Run(Config{Arch: "Ballerino", Custom: p, MaxOps: ops, Audit: true})
+		if err != nil {
+			t.Errorf("audited run: %v", err)
+			return
+		}
+		if res.Committed != ops {
+			t.Errorf("audited run committed %d of %d", res.Committed, ops)
+		}
+	}()
+	wg.Wait()
+	if !maps.Equal(p.Internal().InitMem, want) {
+		t.Error("the program's memory image changed")
 	}
 }
 

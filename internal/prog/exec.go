@@ -13,9 +13,13 @@ import (
 var ErrFuel = errors.New("prog: out of fuel before halt")
 
 // ArchState is the architectural state of the machine: registers and a
-// sparse 8-byte-word memory.
+// sparse 8-byte-word memory kept as an overlay. Base is the program's
+// initial image, shared with the program and never written; Mem holds
+// only the words written since. A word reads from Mem first, then Base,
+// and is zero in neither.
 type ArchState struct {
 	Regs [isa.NumArchRegs]int64
+	Base map[uint64]int64
 	Mem  map[uint64]int64
 }
 
@@ -24,8 +28,24 @@ func NewArchState() *ArchState {
 	return &ArchState{Mem: make(map[uint64]int64)}
 }
 
+// initialState is p's state before its first instruction: p's registers,
+// and p's memory image as the shared base of an empty overlay.
+func initialState(p *Program) *ArchState {
+	st := &ArchState{Base: p.InitMem, Mem: make(map[uint64]int64)}
+	for r, v := range p.InitReg {
+		st.Regs[r] = v
+	}
+	return st
+}
+
 // LoadWord reads the 8-byte-aligned word containing addr.
-func (s *ArchState) LoadWord(addr uint64) int64 { return s.Mem[addr&^7] }
+func (s *ArchState) LoadWord(addr uint64) int64 {
+	addr &^= 7
+	if v, ok := s.Mem[addr]; ok {
+		return v
+	}
+	return s.Base[addr]
+}
 
 // StoreWord writes the 8-byte-aligned word containing addr.
 func (s *ArchState) StoreWord(addr uint64, v int64) { s.Mem[addr&^7] = v }
@@ -106,14 +126,7 @@ const genCancelMask = 1<<16 - 1
 // context.Cause(ctx), so services truncating multi-million-μop kernels can
 // shut down without waiting out the interpreter.
 func ExecuteContext(ctx context.Context, p *Program, maxOps int) (*Trace, error) {
-	st := NewArchState()
-	for r, v := range p.InitReg {
-		st.Regs[r] = v
-	}
-	for a, v := range p.InitMem {
-		st.Mem[a] = v
-	}
-
+	st := initialState(p)
 	tr := &Trace{Program: p, Final: st}
 	pc := 0
 	done := ctx.Done()

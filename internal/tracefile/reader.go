@@ -398,15 +398,19 @@ func decodeProgram(p *payload, tr *prog.Trace) error {
 		}
 		pr.InitReg[isa.Reg(rb)] = v
 	}
-	if err := decodeMemImage(p, pr.InitMem); err != nil {
+	if err := decodeMemImage(p, func(a uint64, v int64) { pr.InitMem[a] = v }); err != nil {
 		return err
 	}
 	tr.Program = pr
 	return nil
 }
 
-// decodeMemImage inverts appendMemImage into m.
-func decodeMemImage(p *payload, m map[uint64]int64) error {
+// decodeMemImage inverts appendMemImage, handing each word to put. The
+// writer emits strictly ascending, 8-byte-aligned addresses, and nothing
+// else is accepted: an unaligned word is one no load can read (loads
+// align down), and a repeated address would silently overwrite the word
+// before it.
+func decodeMemImage(p *payload, put func(addr uint64, v int64)) error {
 	n, err := p.uvarint()
 	if err != nil {
 		return err
@@ -420,12 +424,18 @@ func decodeMemImage(p *payload, m map[uint64]int64) error {
 		if err != nil {
 			return err
 		}
+		if i > 0 && d == 0 || addr+d < addr {
+			return p.errAt(fmt.Errorf("memory image word %d: address %#x+%#x does not ascend", i, addr, d))
+		}
 		addr += d
+		if addr&7 != 0 {
+			return p.errAt(fmt.Errorf("memory image word %d: address %#x is not 8-byte aligned", i, addr))
+		}
 		v, err := p.varint()
 		if err != nil {
 			return err
 		}
-		m[addr] = v
+		put(addr, v)
 	}
 	return nil
 }
@@ -483,6 +493,10 @@ func decodeOps(p *payload, tr *prog.Trace, prevAddr *uint64) error {
 	return nil
 }
 
+// decodeFinal rebuilds the final state as an overlay on the program's
+// image, keeping only the words the image lacks or holds with another
+// value. A final image that omits some word of the program's (no writer
+// does) cannot be expressed that way; it is kept whole, over no base.
 func decodeFinal(p *payload, tr *prog.Trace) error {
 	st := prog.NewArchState()
 	for i := range st.Regs {
@@ -492,8 +506,27 @@ func decodeFinal(p *payload, tr *prog.Trace) error {
 		}
 		st.Regs[i] = v
 	}
-	if err := decodeMemImage(p, st.Mem); err != nil {
+	if tr.Program != nil {
+		st.Base = tr.Program.InitMem
+	}
+	start, inBase := p.pos, 0
+	err := decodeMemImage(p, func(a uint64, v int64) {
+		bv, ok := st.Base[a]
+		if ok {
+			inBase++
+		}
+		if !ok || bv != v {
+			st.Mem[a] = v
+		}
+	})
+	if err != nil {
 		return err
+	}
+	if inBase < len(st.Base) {
+		st.Base, st.Mem, p.pos = nil, make(map[uint64]int64), start
+		if err := decodeMemImage(p, func(a uint64, v int64) { st.Mem[a] = v }); err != nil {
+			return err
+		}
 	}
 	tr.Final = st
 	return nil

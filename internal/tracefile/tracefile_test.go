@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -59,11 +60,101 @@ func TestRoundTrip(t *testing.T) {
 				}
 			}
 			if got.Final == nil || got.Final.Regs != tr.Final.Regs ||
-				!reflect.DeepEqual(got.Final.Mem, tr.Final.Mem) {
+				!reflect.DeepEqual(image(got.Final), image(tr.Final)) {
 				t.Fatalf("final state not identical after round trip")
 			}
 		})
 	}
+}
+
+// image is st's whole memory: its base with every written word laid over
+// it.
+func image(st *prog.ArchState) map[uint64]int64 {
+	m := make(map[uint64]int64, len(st.Base)+len(st.Mem))
+	maps.Copy(m, st.Base)
+	maps.Copy(m, st.Mem)
+	return m
+}
+
+// TestMemImageRejectsMalformed: the decoder accepts only what the writer
+// emits — strictly ascending, 8-byte-aligned addresses. An unaligned word
+// (no load can read it: loads align down) and a repeated address (which
+// would overwrite the word before it) are typed *Errors.
+func TestMemImageRejectsMalformed(t *testing.T) {
+	image := func(pairs ...uint64) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(pairs)/2))
+		for _, x := range pairs {
+			b = binary.AppendUvarint(b, x)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"unaligned", image(0x1003, 2)},
+		{"repeated", image(0x1000, 2, 0, 4)},
+		{"wrapped", image(0x1000, 2, ^uint64(0)-0xff7, 4)},
+	} {
+		p := &payload{b: tc.body, section: "program"}
+		err := decodeMemImage(p, func(uint64, int64) {})
+		var te *Error
+		if !errors.As(err, &te) {
+			t.Errorf("%s: err = %v, want a *tracefile.Error", tc.name, err)
+		}
+	}
+	// The writer's own output still decodes, the first word at address 0
+	// included.
+	p := &payload{b: image(0, 2, 8, 4)}
+	if err := decodeMemImage(p, func(uint64, int64) {}); err != nil {
+		t.Errorf("well-formed image rejected: %v", err)
+	}
+}
+
+// TestMalformedImageFilesRejected: whole files whose program image holds
+// an unaligned or a repeated address — every CRC valid — fail to decode
+// with a typed *Error.
+func TestMalformedImageFilesRejected(t *testing.T) {
+	tr := testTrace(t, "stream", 200)
+	h := Header{Workload: "stream", Ops: 200, TraceKey: "k"}
+	for name, img := range map[string][]byte{
+		"unaligned": {1, 0x83, 0x20, 2},       // one word at 0x1003
+		"repeated":  {2, 0x80, 0x20, 2, 0, 4}, // 0x1000 twice
+	} {
+		raw := withProgramImage(t, encode(t, &prog.Trace{Program: &prog.Program{
+			Name: tr.Program.Name, Insts: tr.Program.Insts, InitReg: tr.Program.InitReg,
+		}, Ops: tr.Ops}, h), img)
+		_, err := Decode(bytes.NewReader(raw))
+		var te *Error
+		if !errors.As(err, &te) || te.Section != "program" {
+			t.Errorf("%s: err = %v, want a program-section *tracefile.Error", name, err)
+		}
+	}
+}
+
+// withProgramImage rewrites the program chunk of raw — encoded from a
+// program with an empty memory image, so its body ends in the image's
+// zero count — to carry img as its image, with a valid CRC.
+func withProgramImage(t *testing.T, raw, img []byte) []byte {
+	t.Helper()
+	off := len(Magic)
+	hl, n := binary.Uvarint(raw[off:])
+	off += n + int(hl) + 4
+	if raw[off] != chunkProgram {
+		t.Fatalf("first chunk is %#x, not the program", raw[off])
+	}
+	bl, n := binary.Uvarint(raw[off+1:])
+	body := raw[off+1+n : off+1+n+int(bl)]
+	if body[len(body)-1] != 0 {
+		t.Fatal("program image is not empty")
+	}
+	rest := raw[off+1+n+int(bl)+4:]
+	nb := append(bytes.Clone(body[:len(body)-1]), img...)
+	out := append(bytes.Clone(raw[:off]), chunkProgram)
+	out = binary.AppendUvarint(out, uint64(len(nb)))
+	out = append(out, nb...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(nb, crcTable))
+	return append(out, rest...)
 }
 
 // TestEncodeByteStable: encoding the same trace twice must produce

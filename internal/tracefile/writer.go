@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -166,26 +167,36 @@ func (w *Writer) WriteProgram(p *prog.Program) error {
 		buf = append(buf, byte(r))
 		buf = binary.AppendUvarint(buf, zigzag(p.InitReg[isa.Reg(r)]))
 	}
-	buf = appendMemImage(buf, p.InitMem)
+	buf = appendMemImage(buf, p.InitMem, nil)
 	w.insts = len(p.Insts)
 	w.writeChunk(chunkProgram, buf)
 	w.buf = buf[:0]
 	return w.err
 }
 
-// appendMemImage encodes a sparse word memory: count, then
-// address-ascending (delta-uvarint address, zigzag-varint value) pairs.
-func appendMemImage(buf []byte, mem map[uint64]int64) []byte {
-	addrs := make([]uint64, 0, len(mem))
-	for a := range mem {
+// appendMemImage encodes a sparse word memory — base overlaid by written,
+// which wins where both hold a word — as a count, then address-ascending
+// (delta-uvarint address, zigzag-varint value) pairs.
+func appendMemImage(buf []byte, base, written map[uint64]int64) []byte {
+	addrs := make([]uint64, 0, len(base)+len(written))
+	for a := range base {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for a := range written {
+		if _, ok := base[a]; !ok {
+			addrs = append(addrs, a)
+		}
+	}
+	slices.Sort(addrs)
 	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
 	prev := uint64(0)
 	for _, a := range addrs {
+		v, ok := written[a]
+		if !ok {
+			v = base[a]
+		}
 		buf = binary.AppendUvarint(buf, a-prev)
-		buf = binary.AppendUvarint(buf, zigzag(mem[a]))
+		buf = binary.AppendUvarint(buf, zigzag(v))
 		prev = a
 	}
 	return buf
@@ -243,7 +254,9 @@ func (w *Writer) flushOps() {
 	w.buf = w.buf[:0]
 }
 
-// WriteFinal encodes the final architectural state oracle. Optional.
+// WriteFinal encodes the final architectural state oracle — its registers
+// and its whole memory image, the base with every written word laid over
+// it. Optional.
 func (w *Writer) WriteFinal(st *prog.ArchState) error {
 	if err := w.advance(chunkFinal); err != nil {
 		return err
@@ -252,7 +265,7 @@ func (w *Writer) WriteFinal(st *prog.ArchState) error {
 	for _, v := range st.Regs {
 		buf = binary.AppendUvarint(buf, zigzag(v))
 	}
-	buf = appendMemImage(buf, st.Mem)
+	buf = appendMemImage(buf, st.Base, st.Mem)
 	w.writeChunk(chunkFinal, buf)
 	w.buf = buf[:0]
 	return w.err

@@ -50,8 +50,10 @@ const (
 )
 
 // sizeBytes estimates the trace's resident size for the cache budget: the
-// μop stream plus both memory images it holds — the program's initial
-// image and the final-state oracle retained for golden-model verification.
+// μop stream, the program's initial memory image, and the words written
+// into the final-state oracle retained for golden-model verification.
+// The oracle overlays the initial image (prog.ArchState.Base) rather than
+// copying it, so only its written words are extra.
 func (t *Trace) sizeBytes() int64 {
 	n := int64(len(t.tr.Ops))*opBytes + int64(len(t.tr.Program.InitMem))*mapEntry
 	if t.tr.Final != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	ballerino "repro"
+	"repro/uprog"
 )
 
 // fuzzSeedTrace encodes one small valid trace to seed the corpus.
@@ -49,13 +50,49 @@ func fuzzVersionSkew(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// fuzzImageSeed builds a stream whose program image is img, every CRC
+// valid: it encodes a trace of a program with an empty image, whose
+// program chunk then ends in the image's zero count, and splices img in
+// its place.
+func fuzzImageSeed(f *testing.F, img []byte) []byte {
+	f.Helper()
+	b := uprog.NewBuilder("image-seed")
+	top := b.NewLabel()
+	b.Bind(top)
+	b.AddImm(uprog.R(1), uprog.R(1), 1)
+	b.Jmp(top)
+	tr, err := ballerino.PrepareTrace(context.Background(), ballerino.Config{Custom: b.Build(), MaxOps: 100})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ballerino.WriteTrace(&buf, tr); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	off := len("ballerino.trace\x00")
+	hl, n := binary.Uvarint(raw[off:])
+	off += n + int(hl) + 4 // header and its CRC; the program chunk follows
+	bl, n := binary.Uvarint(raw[off+1:])
+	body := raw[off+1+n : off+1+n+int(bl)]
+	if body[len(body)-1] != 0 {
+		f.Fatal("program image is not empty")
+	}
+	rest := raw[off+1+n+int(bl)+4:]
+	nb := append(bytes.Clone(body[:len(body)-1]), img...)
+	out := append(bytes.Clone(raw[:off+1]), binary.AppendUvarint(nil, uint64(len(nb)))...)
+	out = append(out, nb...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(nb, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, rest...)
+}
+
 // FuzzTraceFile drives the trace importer with arbitrary bytes: malformed
 // input must never panic, and every rejection must be a typed *SimError
 // with Stage "tracefile" (the contract ballserved relies on to turn a bad
 // uploaded trace into a clean job failure). The seed corpus covers the
 // interesting classes — a valid stream, truncations at several depths,
-// single-byte corruption, a flipped trailing CRC, version skew and bare
-// magic.
+// single-byte corruption, a flipped trailing CRC, version skew, bare magic
+// and memory images holding an unaligned or a repeated address.
 func FuzzTraceFile(f *testing.F) {
 	valid := fuzzSeedTrace(f)
 	f.Add(valid)
@@ -71,6 +108,8 @@ func FuzzTraceFile(f *testing.F) {
 	badCRC[len(badCRC)-1] ^= 0xFF
 	f.Add(badCRC)
 	f.Add(fuzzVersionSkew(f))
+	f.Add(fuzzImageSeed(f, []byte{1, 0x83, 0x20, 2}))       // one word at 0x1003
+	f.Add(fuzzImageSeed(f, []byte{2, 0x80, 0x20, 2, 0, 4})) // 0x1000 twice
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ballerino.ReadTrace(bytes.NewReader(data))

@@ -117,9 +117,10 @@ type Ballerino struct {
 
 	// cur holds this cycle's per-cycle charges for Tick, prev the last
 	// cycle's: a shared P-IQ alternates its examined head, so quiet
-	// cycles repeat the two in turn. moved records a steered μop.
-	cur, prev stalls
-	moved     bool
+	// cycles repeat the two in turn. switching records that some P-IQ
+	// hands its head to the other partition; moved, a steered μop.
+	cur, prev        stalls
+	switching, moved bool
 }
 
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
@@ -246,6 +247,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		})
 		wasSharing := q.sharing
 		q.endCyclePolicy(issuedAny, b.cfg.Options.AlwaysSwitchHead)
+		b.switching = b.switching || q.switchHead
 		if b.probe != nil && wasSharing && !q.sharing {
 			b.probe(sched.ProbePIQMerge, cycle, 0, i)
 		}
@@ -296,12 +298,16 @@ func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sche
 func (b *Ballerino) Tick(n uint64) {
 	b.events.SelectInputs += n * uint64(b.cfg.Width*(b.cfg.NumPIQs+b.cfg.SIQWindow))
 	b.charge(b.cur, (n+1)/2)
-	b.charge(b.prev, n/2)
-	for i := range b.piqs {
-		b.piqs[i].tick(n)
+	if n > 1 {
+		b.charge(b.prev, n/2)
+	}
+	if b.switching {
+		for i := range b.piqs {
+			b.piqs[i].tick(n)
+		}
 	}
 	b.prev, b.cur = b.cur, stalls{}
-	b.moved = false
+	b.switching, b.moved = false, false
 }
 
 // Wake implements sched.Scheduler: a μop steered this cycle is examined

@@ -880,7 +880,8 @@ func (p *Pipeline) stretch() uint64 {
 //   - the scheduler's own timers (wake);
 //   - the end of a fetch stall;
 //   - the cycle the decode queue's head reaches rename;
-//   - the end of a non-pipelined unit's busy period;
+//   - the end of a non-pipelined unit's busy period (today the divide's
+//     own completion, but a resident divide waits on the former);
 //   - the cycle past the MaxCycles budget, and the cycle the no-commit
 //     watchdog fires, so both trip exactly where stepping trips them.
 func (p *Pipeline) nextEvent(wake uint64) uint64 {

@@ -22,6 +22,9 @@ func FuzzPipeline(f *testing.F) {
 	f.Add(uint64(42), uint8(7), uint8(0))
 	f.Add(uint64(99999), uint8(5), uint8(3))
 	f.Add(uint64(7), uint8(11), uint8(1))
+	// FXA 10-wide: a simple μop the full back-end refused enters the IXU
+	// on the scheduler's retry timer, which a skip must not jump.
+	f.Add(uint64(116), uint8(6), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, archSel, widthSel uint8) {
 		archs := config.AllArchs()
 		arch := archs[int(archSel)%len(archs)]

@@ -149,7 +149,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 			}
 			if passedHere < s.pass && !next.Full() {
 				next.Push(u)
-				s.events.QueueReads += 2
+				s.events.QueueReads += 2 // examined, then read out for the copy
 				s.events.PSCBReads += 2
 				s.events.QueueWrites++ // the copy the paper charges CASINO for
 				s.passed++

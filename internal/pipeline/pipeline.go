@@ -857,10 +857,11 @@ func (p *Pipeline) step() {
 // alternates its examined head: by then both heads were found not ready,
 // and every quiet cycle up to the next event repeats one of the two.
 //
-// Runs with top-down accounting, a recorder, the auditor or a fault plan
-// attached keep stepping: what those produce is per cycle.
+// Runs with a recorder, the auditor or a fault plan attached keep
+// stepping: heartbeats, audit checks and injector draws are per cycle.
+// Top-down accounting skips along (topdown.Engine.Repeat).
 func (p *Pipeline) stretch() uint64 {
-	if p.busy || p.stepOnly || p.td != nil || p.obs != nil || p.audit != nil || p.inj != nil {
+	if p.busy || p.stepOnly || p.obs != nil || p.audit != nil || p.inj != nil {
 		p.quiet = false
 		return 1
 	}
@@ -915,12 +916,12 @@ func (p *Pipeline) nextEvent(wake uint64) uint64 {
 //   - the scheduler's own per-cycle charges and state (Scheduler.Tick:
 //     select inputs, reads of heads that did not issue, P-IQ head
 //     alternation);
+//   - top-down accounting's idle-slot blame;
 //   - the clock.
 //
-// The per-cycle observers — top-down accounting, recorder heartbeats and
-// the auditor — run between the charges and the clock, as they always
-// have; they see each cycle on its own, so they are only ever attached
-// while n is 1.
+// Recorder heartbeats and the auditor run between the charges and the
+// clock, as they always have; they see each cycle on its own, so they
+// are only ever attached while n is 1.
 func (p *Pipeline) tick(n uint64) {
 	occ := p.sched.Occupancy()
 	p.stats.OccupancySum += n * uint64(occ)
@@ -932,6 +933,7 @@ func (p *Pipeline) tick(n uint64) {
 		p.td.EndCycle(occ,
 			p.cycle < p.fetchStallUntil && p.fetchStallIsRecovery,
 			p.decodeQ.n >= p.cfg.DecodeQueue)
+		p.td.Repeat(n - 1)
 	}
 	if p.obs != nil && p.obs.HeartbeatDue(p.cycle) {
 		p.obs.Heartbeat(p.ObsSnapshot())

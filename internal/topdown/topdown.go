@@ -143,6 +143,10 @@ type Engine struct {
 	depBlock  bool
 	fuBlock   bool
 	dispCause StallCause
+
+	// last and prev are the idle-slot categories of the last two closed
+	// cycles (Base for a cycle without idle slots), which Repeat charges.
+	last, prev Category
 }
 
 // New returns an engine accounting width issue slots per cycle.
@@ -225,12 +229,30 @@ func (e *Engine) EndCycle(schedOcc int, recovering, dispatchQFull bool) {
 		base = e.width
 	}
 	e.slots[Base] += base
+	e.prev, e.last = e.last, Base
 	if idle := e.width - base; idle > 0 {
-		e.slots[e.blame(schedOcc, recovering, dispatchQFull)] += idle
+		e.last = e.blame(schedOcc, recovering, dispatchQFull)
+		e.slots[e.last] += idle
 	}
 	e.grants = 0
 	e.memBlock, e.depBlock, e.fuBlock = false, false, false
 	e.dispCause = StallNone
+}
+
+// Repeat closes k more cycles after the one EndCycle just closed, in
+// which nothing issues and the machine repeats its last two cycles in
+// turn (the pipeline's quiet stretches): each charges its whole width to
+// the category of the cycle two before it.
+func (e *Engine) Repeat(k uint64) {
+	if e == nil || k == 0 {
+		return
+	}
+	e.cycles += k
+	e.slots[e.prev] += e.width * ((k + 1) / 2)
+	e.slots[e.last] += e.width * (k / 2)
+	if k&1 == 1 {
+		e.prev, e.last = e.last, e.prev
+	}
 }
 
 // blame picks the cycle's idle-slot category.

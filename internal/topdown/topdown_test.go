@@ -43,6 +43,41 @@ func TestNilEngineIsSafe(t *testing.T) {
 	}
 }
 
+// TestRepeatMatchesEndCycles: k cycles closed by Repeat charge exactly
+// what k more EndCycle calls charge when the quiet cycles alternate
+// between the last two closed cycles' blame, and leave the alternation
+// where stepping leaves it.
+func TestRepeatMatchesEndCycles(t *testing.T) {
+	quiet := func(e *Engine, i uint64) { // mem, dep, mem, ...
+		if i%2 == 0 {
+			e.NoteMemBlock()
+		} else {
+			e.NoteDepBlock()
+		}
+		e.EndCycle(4, false, false)
+	}
+	for _, k := range []uint64{1, 2, 5, 6} {
+		stepped, repeated := New(4), New(4)
+		for _, e := range []*Engine{stepped, repeated} {
+			e.NoteGrant()
+			e.EndCycle(4, false, false) // a busy cycle before the stretch
+			quiet(e, 0)
+			quiet(e, 1)
+		}
+		for i := uint64(0); i < k; i++ {
+			quiet(stepped, i)
+		}
+		repeated.Repeat(k)
+		quiet(stepped, k) // the cycle after the stretch continues it
+		repeated.Repeat(1)
+		if stepped.Counts() != repeated.Counts() || stepped.Cycles() != repeated.Cycles() {
+			t.Errorf("k=%d: Repeat charged %v over %d cycles, stepping %v over %d",
+				k, repeated.Counts(), repeated.Cycles(), stepped.Counts(), stepped.Cycles())
+		}
+		checkConservation(t, repeated)
+	}
+}
+
 func TestBaseAndIdleSplit(t *testing.T) {
 	e := New(4)
 	// Cycle 0: 3 grants, 1 idle slot, μops waiting in the window → DepWait.

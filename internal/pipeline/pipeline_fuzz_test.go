@@ -16,7 +16,8 @@ import (
 // deterministic fault campaign injected. Any invariant violation, deadlock
 // or lost μop fails the target. The same trace then runs plainly (no
 // auditor, no faults) through the skipping loop and the reference
-// stepper, whose digests must match.
+// stepper, each with a sink-less recorder on a short heartbeat interval;
+// their digests, event counts and interval rows must match.
 func FuzzPipeline(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2))
 	f.Add(uint64(42), uint8(7), uint8(0))
@@ -55,6 +56,7 @@ func FuzzPipeline(f *testing.F) {
 			t.Fatalf("seed %d %s %d-wide: committed %d of %d", seed, arch, width, got, len(tr))
 		}
 
+		beat := 50 + seed%200
 		var digests [2][]byte
 		for i, stepper := range []bool{true, false} {
 			p, err := pipeline.New(m.Pipeline, tr, m.Factory)
@@ -64,10 +66,11 @@ func FuzzPipeline(f *testing.F) {
 			if stepper {
 				pipeline.StepEveryCycle(p)
 			}
+			seen := attachRecorder(p, beat)
 			if _, err := p.Run(uint64(len(tr))); err != nil {
 				t.Fatalf("seed %d %s %d-wide, plain run: %v", seed, arch, width, err)
 			}
-			digests[i] = goldenDigest(p, arch, "fuzz")
+			digests[i] = append(goldenDigest(p, arch, "fuzz"), seen()...)
 		}
 		if !bytes.Equal(digests[0], digests[1]) {
 			t.Fatalf("seed %d %s %d-wide: skipping loop diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s",

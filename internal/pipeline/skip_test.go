@@ -11,6 +11,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/topdown"
@@ -57,9 +58,11 @@ func newEngine(t *testing.T, arch config.Arch, tr []isa.DynInst, stepper bool, a
 }
 
 // runEngine warms the machine up, optionally attaches top-down
-// accounting, runs the rest of tr and returns everything observable: the
-// golden digest and, with top-down on, the CPI-stack report.
-func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, stepper, withTopdown bool) []byte {
+// accounting and, when beat is non-zero, a sink-less recorder with that
+// heartbeat interval, runs the rest of tr and returns everything
+// observable: the golden digest, with top-down on the CPI-stack report,
+// and with a recorder everything it saw (see attachRecorder).
+func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, stepper, withTopdown bool, beat uint64) []byte {
 	t.Helper()
 	p := newEngine(t, arch, tr, stepper, nil)
 	if err := p.Warmup(skipWarmup); err != nil {
@@ -70,6 +73,10 @@ func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, step
 		td = topdown.New(goldenWidth)
 		p.AttachTopdown(td)
 	}
+	var seen func() []byte
+	if beat != 0 {
+		seen = attachRecorder(p, beat)
+	}
 	if _, err := p.Run(uint64(len(tr) - skipWarmup)); err != nil {
 		t.Fatalf("%s/%s: %v", arch, wl, err)
 	}
@@ -77,28 +84,71 @@ func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, step
 	if td != nil {
 		out = fmt.Appendf(out, "topdown: %+v\n", *td.Report(p.Stats().Committed))
 	}
+	if seen != nil {
+		out = append(out, seen()...)
+	}
 	return out
 }
+
+// attachRecorder attaches a recorder without sinks, as a served job does,
+// with heartbeat interval beat. The returned function closes the last
+// interval once the run is over and renders everything the recorder saw:
+// each interval row together with the event counts read inside its hook
+// (as a served job's gauges read them), the final event counts, the
+// interval count and the metrics registry.
+func attachRecorder(p *pipeline.Pipeline, beat uint64) func() []byte {
+	rec := obs.NewRecorder(beat)
+	var out []byte
+	rec.OnInterval(func(iv obs.Interval) {
+		out = appendEventCounts(fmt.Appendf(out, "interval: %+v\n", iv), rec)
+	})
+	p.AttachObs(rec)
+	return func() []byte {
+		rec.Finish(p.ObsSnapshot())
+		out = appendEventCounts(out, rec)
+		return fmt.Appendf(out, "intervals: %d\nmetrics: %+v\n", rec.Intervals(), *rec.Registry().Dump())
+	}
+}
+
+// appendEventCounts renders rec's count of every event kind.
+func appendEventCounts(b []byte, rec *obs.Recorder) []byte {
+	b = append(b, "events:"...)
+	for k := obs.Kind(0); k.String() != "unknown"; k++ {
+		b = fmt.Appendf(b, " %s=%d", k, rec.EventCount(k))
+	}
+	return append(b, '\n')
+}
+
+// skipBeats are the recorder heartbeat intervals the differential test
+// rotates through: two short ones, so heartbeats land inside quiet
+// stretches, and the default.
+var skipBeats = []uint64{500, 997, obs.DefaultInterval}
 
 // TestSkipMatchesStepper: on every architecture, over the standard suite
 // and the calibrated presets, with warm-up and with top-down accounting
 // off and on, the skipping loop and the reference stepper produce the
-// same digest and the same top-down report.
+// same digest and the same top-down report — with no recorder, and with
+// a sink-less recorder attached after warm-up, whose event counts,
+// interval rows and metrics must match too. Each arch × kernel pair runs
+// one heartbeat interval, rotating through skipBeats so that every
+// architecture and every kernel meets each of them.
 func TestSkipMatchesStepper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the differential grid is not worth it in -short")
 	}
-	for _, wl := range skipKernels() {
-		for _, arch := range config.AllArchs() {
-			wl, arch := wl, arch
+	for i, wl := range skipKernels() {
+		for j, arch := range config.AllArchs() {
+			wl, arch, beat := wl, arch, skipBeats[(i+j)%len(skipBeats)]
 			t.Run(fmt.Sprintf("%s/%s", arch, wl), func(t *testing.T) {
 				t.Parallel()
 				tr := goldenTrace(t, wl)[:skipOps]
 				for _, td := range []bool{false, true} {
-					want := runEngine(t, arch, wl, tr, true, td)
-					got := runEngine(t, arch, wl, tr, false, td)
-					if !bytes.Equal(got, want) {
-						t.Errorf("topdown=%v: skipping loop diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s", td, want, got)
+					for _, beat := range []uint64{0, beat} {
+						want := runEngine(t, arch, wl, tr, true, td, beat)
+						got := runEngine(t, arch, wl, tr, false, td, beat)
+						if !bytes.Equal(got, want) {
+							t.Errorf("topdown=%v beat=%d: skipping loop diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s", td, beat, want, got)
+						}
 					}
 				}
 			})

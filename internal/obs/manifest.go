@@ -29,6 +29,11 @@ type Manifest struct {
 	WallSeconds float64  `json:"wall_seconds"`
 	Stats       RunStats `json:"stats"`
 
+	// Engine is how the cycle loop covered the measured region. Like
+	// WallSeconds it says how the run was computed, not what it computed,
+	// so the canonical form drops it.
+	Engine *EngineInfo `json:"engine,omitempty"`
+
 	Delay  map[string]DelayInfo `json:"delay,omitempty"`
 	Energy EnergyInfo           `json:"energy"`
 
@@ -58,6 +63,17 @@ type SimInfo struct {
 	MDP       bool   `json:"mdp"`
 	DVFS      string `json:"dvfs"`
 	FaultSpec string `json:"fault_spec,omitempty"`
+}
+
+// EngineInfo is how the cycle loop covered a run's measured region:
+// SteppedCycles + SkippedCycles = Stats.Cycles.
+type EngineInfo struct {
+	SteppedCycles uint64 `json:"stepped_cycles"`
+	SkippedCycles uint64 `json:"skipped_cycles"` // quiet cycles closed by jumps
+	Jumps         uint64 `json:"jumps"`
+	// SteppedFor names what made the loop step every cycle: "sinks",
+	// "audit" or "faults"; empty when it could skip.
+	SteppedFor string `json:"stepped_for,omitempty"`
 }
 
 // RunStats is the final counter state of the measured region.
@@ -151,10 +167,11 @@ func (m *Manifest) JSON() ([]byte, error) {
 
 // Canonical returns a copy of the manifest with every
 // environment-volatile field — creation time, Go version, VCS revision,
-// hostname, wall time, sink paths — zeroed. Two runs of the same
-// configuration produce byte-identical canonical manifests regardless of
-// machine, process or wall clock: the equality the durable job store's
-// content-addressed results and the crash-recovery harness assert.
+// hostname, wall time, engine counters, sink paths — zeroed. Two runs of
+// the same configuration produce byte-identical canonical manifests
+// regardless of machine, process or wall clock: the equality the durable
+// job store's content-addressed results and the crash-recovery harness
+// assert.
 func (m *Manifest) Canonical() *Manifest {
 	c := *m
 	c.CreatedAt = ""
@@ -162,6 +179,7 @@ func (m *Manifest) Canonical() *Manifest {
 	c.GitRevision = ""
 	c.Hostname = ""
 	c.WallSeconds = 0
+	c.Engine = nil
 	c.Sinks = nil
 	return &c
 }

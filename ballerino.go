@@ -316,9 +316,10 @@ type Result struct {
 	Topdown *topdown.Report
 
 	// Manifest is the machine-readable run record (always populated):
-	// configuration, environment, wall time, final statistics, energy and
-	// scheduler counters, plus the metrics-registry dump when an
-	// observability sink was attached. `ballsim -json` prints it.
+	// configuration, environment, wall time, how the cycle loop covered
+	// the run, final statistics, energy and scheduler counters, plus the
+	// metrics-registry dump when an observability sink was attached.
+	// `ballsim -json` prints it.
 	Manifest *obs.Manifest
 }
 
@@ -577,6 +578,8 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 
 	rec.FinalizeSched(res.SchedCounters)
 	res.Manifest = buildManifest(cfg, res, rec, sinkInfos, s, time.Since(start).Seconds())
+	eng := p.Engine()
+	res.Manifest.Engine = &eng
 	if recOwned {
 		recClosed = true
 		if cerr := rec.Close(); cerr != nil {

@@ -266,6 +266,28 @@ func TestStoreServesContentAddressedResult(t *testing.T) {
 	}
 }
 
+// TestServedJobSkipsQuietCycles: a served job's recorder has no sinks, so
+// a freshly run job's cycle loop jumps over quiet cycles, and its
+// manifest's engine block says so with jumps and no reason for stepping.
+// A store hit (like a recovered job) carries the stored canonical
+// manifest (decodeManifest), which has no engine block.
+func TestServedJobSkipsQuietCycles(t *testing.T) {
+	s, ts := newDurableTestServer(t, Options{Store: openStore(t, t.TempDir())})
+	spec := JobSpec{Arch: "OoO", Workload: "pointer-chase", Ops: 4_000}
+	first := submitJob(t, ts, spec)
+	e := waitForState(t, s, first.ID, JobDone).Manifest().Engine
+	if e == nil || e.Jumps == 0 || e.SteppedFor != "" {
+		t.Fatalf("fresh job's engine block = %+v, want jumps and no reason for stepping", e)
+	}
+	second := submitJob(t, ts, spec)
+	if !second.FromStore {
+		t.Fatal("resubmission was not served from the store")
+	}
+	if e := s.Job(second.ID).Manifest().Engine; e != nil {
+		t.Errorf("store hit's engine block = %+v, want none (the stored manifest is canonical)", e)
+	}
+}
+
 // TestRecoveryResumesUnfinishedJobs: a graceful shutdown mid-run leaves
 // the running job durably unfinished; a new server over the same store
 // re-enqueues it (flagged as resumed), runs it to completion, and keeps

@@ -2,6 +2,7 @@ package ballerino_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"os"
@@ -285,5 +286,56 @@ func TestManifestDefaultPath(t *testing.T) {
 	}
 	if _, err := os.Stat(tracePath + ".manifest.json"); err != nil {
 		t.Errorf("default manifest path: %v", err)
+	}
+}
+
+// TestManifestEngineCounters: the manifest says how the cycle loop covered
+// the measured region. A plain pointer-chase run, and one whose recorder
+// has no sinks, jump over the DRAM waits; a recorder with sinks, the
+// auditor and a fault plan each make the loop step every cycle and are
+// named as the reason. Either way stepped and skipped cycles add up to
+// the measured cycles, and the canonical manifest drops the block.
+func TestManifestEngineCounters(t *testing.T) {
+	dir := t.TempDir()
+	base := ballerino.Config{Arch: "OoO", Workload: "pointer-chase", MaxOps: 800, WarmupOps: 200}
+	tr, err := ballerino.PrepareTrace(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Trace = tr
+	cases := []struct {
+		name   string
+		adjust func(*ballerino.Config)
+		reason string
+	}{
+		{"plain", func(*ballerino.Config) {}, ""},
+		{"sink-less recorder", func(c *ballerino.Config) { c.ManifestPath = filepath.Join(dir, "m.json") }, ""},
+		{"trace sink", func(c *ballerino.Config) { c.TracePath = filepath.Join(dir, "t.json") }, "sinks"},
+		{"audit", func(c *ballerino.Config) { c.Audit = true }, "audit"},
+		{"fault plan", func(c *ballerino.Config) { c.FaultSpec = "seed=5,jitter=8" }, "faults"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.adjust(&cfg)
+		res, err := ballerino.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		e := res.Manifest.Engine
+		if e == nil {
+			t.Fatalf("%s: manifest has no engine block", tc.name)
+		}
+		if e.SteppedFor != tc.reason {
+			t.Errorf("%s: stepped for %q, want %q", tc.name, e.SteppedFor, tc.reason)
+		}
+		if skips := e.Jumps > 0 && e.SkippedCycles > 0; skips != (tc.reason == "") {
+			t.Errorf("%s: %d jumps over %d cycles, want jumps only when nothing makes the loop step", tc.name, e.Jumps, e.SkippedCycles)
+		}
+		if e.SteppedCycles+e.SkippedCycles != res.Cycles {
+			t.Errorf("%s: %d stepped + %d skipped cycles != %d measured", tc.name, e.SteppedCycles, e.SkippedCycles, res.Cycles)
+		}
+		if res.Manifest.Canonical().Engine != nil {
+			t.Errorf("%s: canonical manifest keeps the engine block", tc.name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -179,6 +180,50 @@ func TestRecorderSkippedBeatsCatchUp(t *testing.T) {
 	}
 	if !r.HeartbeatDue(100) {
 		t.Error("not due at next boundary")
+	}
+}
+
+// TestTickReplaysQuietCycles: closing two cycles and four skipped ones
+// with Tick counts what stepping six cycles that alternate between the two
+// counts, and Horizon bounds a jump by the next heartbeat — or allows none
+// when a heartbeat is due or a cycle emitted more events than its list
+// holds.
+func TestTickReplaysQuietCycles(t *testing.T) {
+	quiet := func(r *Recorder, i int) { // stall; stall and probe; ...
+		r.Emit(Event{Kind: KindStall})
+		if i%2 == 1 {
+			r.Emit(Event{Kind: KindSteerMDAMiss})
+		}
+	}
+	stepped, skipped := NewRecorder(100), NewRecorder(100)
+	for i := 0; i < 6; i++ {
+		quiet(stepped, i)
+		stepped.Tick(1)
+	}
+	quiet(skipped, 0)
+	skipped.Tick(1)
+	quiet(skipped, 1)
+	if got := skipped.Horizon(2); got != 100 {
+		t.Errorf("Horizon(2) = %d, want the heartbeat at 100", got)
+	}
+	skipped.Tick(5)
+	for _, k := range []Kind{KindStall, KindSteerMDAMiss} {
+		if got, want := skipped.EventCount(k), stepped.EventCount(k); got != want {
+			t.Errorf("%s: Tick counted %d, stepping %d", k, got, want)
+		}
+	}
+	if got := skipped.Horizon(100); got != 101 {
+		t.Errorf("Horizon(100) with a heartbeat due = %d, want 101", got)
+	}
+	for i := 0; i < 5; i++ {
+		skipped.Emit(Event{Kind: KindFetch})
+	}
+	if got := skipped.Horizon(7); got != 8 {
+		t.Errorf("Horizon(7) after a cycle of 5 events = %d, want 8", got)
+	}
+	var nilRec *Recorder
+	if got := nilRec.Horizon(7); got != math.MaxUint64 {
+		t.Errorf("nil Horizon = %d, want no bound", got)
 	}
 }
 

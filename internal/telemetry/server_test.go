@@ -693,7 +693,10 @@ func (c *countSink) Close() error          { return nil }
 
 // TestShareRateGauge: a finished Ballerino job that shared P-IQs reports
 // ballserved_job_piq_share_rate = shares ÷ dispatches, exactly as a
-// counting sink sees them on the same config run through RunContext.
+// counting sink sees them on the same config run through RunContext. The
+// reference run's recorder has a sink, so its cycle loop steps every
+// cycle; the served job's recorder has none, so its loop skips quiet
+// cycles and replays their events (pipeline.stretch).
 func TestShareRateGauge(t *testing.T) {
 	s, ts := newTestServer(t)
 	spec := JobSpec{Arch: "Ballerino", Workload: "store-load", Ops: 10_000}

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkSelect measures the oldest-first pick over a 64-entry window —
 // the per-cycle core of every scheduler's select stage — comparing the
-// CLZ-walked bitmap queue against the insertion-sort-over-occupancy
-// approach it replaced. The hot-loop CI gate archives this output.
+// compacting ring walk OoO-oldest uses against the insertion sort over an
+// occupancy bitmap it replaced. The hot-loop CI gate archives this output.
 func BenchmarkSelect(b *testing.B) {
 	const entries = 64
 	const width = 8
@@ -19,25 +19,31 @@ func BenchmarkSelect(b *testing.B) {
 		ages[i] = uint64(rng.Intn(1 << 12))
 	}
 
-	b.Run("quantum-scan", func(b *testing.B) {
-		q := NewQuantumQueue[int32](1<<13, entries)
-		for i, s := range ages {
-			q.Insert(int(s), int32(i))
+	b.Run("oldest-first", func(b *testing.B) {
+		// OoO-oldest's walk: the whole compacting queue from the head,
+		// granting the ready entries (even seqs) until width, then
+		// stopping; dispatch refills the tail in program order.
+		r := &Ring[seqInt]{}
+		r.Init(entries)
+		next := uint64(0)
+		for ; next < entries; next++ {
+			r.Push(seqInt(next))
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			granted := 0
-			var took [width]int32
-			q.Scan(func(slot int32, prio int) Verdict {
+			r.SelectWindow(r.Len(), func(v seqInt) Verdict {
 				if granted >= width {
 					return Stop
 				}
-				took[granted] = slot
+				if v%2 != 0 {
+					return Keep
+				}
 				granted++
 				return Take
 			})
-			for _, slot := range took[:granted] {
-				q.Insert(int(ages[slot]), slot)
+			for ; !r.Full(); next++ {
+				r.Push(seqInt(next))
 			}
 		}
 	})

@@ -11,10 +11,11 @@ type Seqer interface {
 const maxSelectWindow = 512
 
 // Ring is a fixed-capacity FIFO backed by a circular buffer. It is the
-// storage behind every in-order queue on the hot path (the InO issue
-// queue, CES P-IQs, the CASINO cascade, Ballerino's S-IQ): Push/PopFront
-// are O(1) with no allocation and no slice creep, and FlushFrom truncates
-// the young tail in place exactly like the slice-based queues it replaces.
+// storage behind every age-ordered queue on the hot path (the InO issue
+// queue, CES P-IQs, the CASINO cascade, Ballerino's S-IQ, and the
+// oldest-first OoO queue): Push/PopFront are O(1) with no allocation and
+// no slice creep, and FlushFrom truncates the young tail in place exactly
+// like the slice-based queues it replaces.
 // Vacated slots are zeroed so recycled entries are never reachable through
 // a stale queue slot.
 type Ring[T Seqer] struct {
@@ -80,19 +81,6 @@ func (r *Ring[T]) PopFront() T {
 	return v
 }
 
-// DropFront removes the k oldest entries.
-func (r *Ring[T]) DropFront(k int) {
-	var zero T
-	for i := 0; i < k; i++ {
-		r.buf[r.head] = zero
-		r.head++
-		if r.head == len(r.buf) {
-			r.head = 0
-		}
-	}
-	r.n -= k
-}
-
 // FlushFrom drops every entry with seq ≥ bound. Entries are in program
 // order within a queue, so this truncates a suffix.
 func (r *Ring[T]) FlushFrom(bound uint64) {
@@ -108,10 +96,9 @@ func (r *Ring[T]) FlushFrom(bound uint64) {
 	}
 }
 
-// SelectOldest implements Selector under strict FIFO discipline: entries
-// are offered from the head; Take pops and moves to the new head, while
-// Keep and Stop both end the walk — an in-order queue's head blocks
-// everything younger.
+// SelectOldest is the in-order select: entries are offered from the head;
+// Take pops and moves to the new head, while Keep and Stop both end the
+// walk — an in-order queue's head blocks everything younger.
 func (r *Ring[T]) SelectOldest(visit func(T) Verdict) {
 	for r.n > 0 {
 		if visit(r.buf[r.head]) != Take {

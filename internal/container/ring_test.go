@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// seqInt is a bare sequence number as a ring element.
+type seqInt uint64
+
+func (s seqInt) Seq() uint64 { return uint64(s) }
+
 func ringOf(cap int, seqs ...uint64) *Ring[seqInt] {
 	r := &Ring[seqInt]{}
 	r.Init(cap)

@@ -1,16 +1,13 @@
-// Package container holds the pooled, allocation-free data structures the
-// cycle engine's hot paths are built on: a fixed-capacity FIFO ring
-// (Ring) and a hierarchical-bitmap priority queue (QuantumQueue) whose
-// minimum is found by walking three summary levels with CLZ — the software
-// analogue of the priority-select circuits the paper's issue queues are
-// made of.
+// Package container holds the allocation-free queue the cycle engine's
+// schedulers are built on: a fixed-capacity FIFO ring (Ring) kept in age
+// order, whose head is the oldest entry.
 //
-// Both containers expose selection through one audited vocabulary: a visit
-// callback examines entries oldest-first and answers with a Verdict. This
-// is the software shape of a select circuit — entries raise requests, the
-// grant logic picks winners in priority order — and every scheduler
-// (InO head-sequential issue, OoO oldest-first select, the CASINO cascade
-// windows, Ballerino's S-IQ window and P-IQ heads) picks through it.
+// Selection speaks one vocabulary: a visit callback examines entries
+// oldest-first and answers with a Verdict. This is the software shape of a
+// select circuit — entries raise requests, the grant logic picks winners in
+// priority order — and every age-ordered select picks through it: InO's
+// head-sequential issue, the OoO oldest-first compacting queue, the CASINO
+// cascade windows, and Ballerino's S-IQ window and P-IQ heads.
 package container
 
 // Verdict is a visit callback's decision about one examined entry.
@@ -27,11 +24,3 @@ const (
 	// Stop leaves the entry where it is and ends the walk.
 	Stop
 )
-
-// Selector is the uniform oldest-first selection interface both containers
-// implement: entries are offered to visit in priority order (age order for
-// a FIFO ring, ascending priority for a bitmap queue) and leave or stay
-// according to the verdict.
-type Selector[T any] interface {
-	SelectOldest(visit func(T) Verdict)
-}

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/check"
-	"repro/internal/container"
 	"repro/internal/isa"
 	"repro/internal/lsq"
 	"repro/internal/mdp"
@@ -215,14 +214,9 @@ func (r *decodeRing) clear() {
 
 // wheelSpan is the completion wheel's horizon in cycles (a power of two).
 // Nearly every functional-unit and cache latency lands within it; events
-// further out (DRAM queueing tails) wait in a bitmap-bucketed far queue
-// drained into the wheel once per wheelSpan cycles.
+// further out (DRAM queueing tails) wait in one far chain that is
+// re-offered to the wheel once per wheelSpan cycles.
 const wheelSpan = 1024
-
-// wheelFarSpan is the far queue's bucket horizon: events up to this many
-// cycles past the sliding base land in real priority buckets. Beyond it
-// (pathological DRAM queueing) events wait in a counted overflow chain.
-const wheelFarSpan = 1 << 13
 
 // completionWheel is a timing wheel replacing the cycle→μops completion
 // map: bucket (c & mask) holds exactly the events due at cycle c as long
@@ -231,47 +225,18 @@ const wheelFarSpan = 1 << 13
 // most one pending completion event and is never recycled while linked —
 // so event scheduling never allocates, not even to grow a bucket.
 //
-// Far-horizon events are filed in a hierarchical-bitmap priority queue
-// keyed by done − farBase, so the per-rotation drain peels exactly the
-// events entering the horizon in O(1) each instead of re-walking a chain
-// of every far event. Each near bucket maps to a single due cycle per
-// horizon and the far queue is FIFO within a bucket, so event processing
-// order is identical to the chain-based wheel it replaces.
+// Events wheelSpan or more cycles ahead wait in one far chain, threaded
+// through the same link in push order. Each rotation walks the chain and
+// files the events now inside the horizon, so an event reaches its bucket
+// at the first rotation that covers its due cycle, behind the events of
+// that cycle filed before it.
 type completionWheel struct {
-	heads, tails []*sched.UOp
+	heads, tails [wheelSpan]*sched.UOp
 	// due has bit (c & mask) set while bucket c holds an event, so the
 	// next event cycle is a TrailingZeros64 scan (nextDue).
 	due [wheelSpan / 64]uint64
 
-	far     *container.QuantumQueue[*sched.UOp]
-	farBase uint64
-
-	// Overflow chain for events beyond even the far horizon. ovCount
-	// gates the rotation walk: a rotation with an empty chain never
-	// touches it (the chain-era code re-scanned unconditionally).
-	ovHead, ovTail *sched.UOp
-	ovCount        int
-}
-
-// init sizes the wheel. poolCap bounds the far queue's live population —
-// in-flight issued μops, so the caller passes its ROB size.
-func (w *completionWheel) init(poolCap int) {
-	w.heads = make([]*sched.UOp, wheelSpan)
-	w.tails = make([]*sched.UOp, wheelSpan)
-	w.far = container.NewQuantumQueue[*sched.UOp](wheelFarSpan, poolCap)
-}
-
-// pushNear files u in its due-cycle bucket. Insertion order is preserved
-// per bucket: event processing order matches the slice-based engine.
-func (w *completionWheel) pushNear(u *sched.UOp, done uint64) {
-	i := done & (wheelSpan - 1)
-	if w.tails[i] == nil {
-		w.heads[i] = u
-		w.due[i>>6] |= 1 << (i & 63)
-	} else {
-		w.tails[i].WheelNext = u
-	}
-	w.tails[i] = u
+	farHead, farTail *sched.UOp
 }
 
 // take empties the bucket due at cycle and returns its events, linked in
@@ -288,9 +253,9 @@ func (w *completionWheel) take(cycle uint64) *sched.UOp {
 
 // nextDue returns the first cycle after now whose bucket holds an event,
 // or the next wheelSpan-aligned cycle, whichever comes first. A bucket at
-// or behind now's slot is due at or past that boundary, and far and
-// overflow events reach their buckets at a rotation — which runs on the
-// boundary — before they are due, so the scan stops there.
+// or behind now's slot is due at or past that boundary, and far events
+// reach their buckets at a rotation — which runs on the boundary — before
+// they are due, so the scan stops there.
 func (w *completionWheel) nextDue(now uint64) uint64 {
 	base := now &^ (wheelSpan - 1)
 	from := now&(wheelSpan-1) + 1
@@ -307,62 +272,41 @@ func (w *completionWheel) nextDue(now uint64) uint64 {
 }
 
 // push schedules u's completion event at cycle done (done > now, because
-// every functional-unit latency is ≥ 1).
+// every functional-unit latency is ≥ 1): into its due-cycle bucket when
+// the horizon covers it, else onto the far chain. Both keep push order,
+// the event order the goldens pin.
 func (w *completionWheel) push(u *sched.UOp, done, now uint64) {
 	u.WheelNext = nil
-	if done-now < wheelSpan {
-		w.pushNear(u, done)
+	if done-now >= wheelSpan {
+		if w.farTail == nil {
+			w.farHead = u
+		} else {
+			w.farTail.WheelNext = u
+		}
+		w.farTail = u
 		return
 	}
-	rel := done - w.farBase
-	if rel >= wheelFarSpan {
-		// Slide the window to now. Every queued event is undrained, so
-		// its done is ≥ now and survives the shift.
-		if w.far.Empty() {
-			w.farBase = now
-		} else if delta := now - w.farBase; delta > 0 {
-			w.far.Rebase(int(delta))
-			w.farBase = now
-		}
-		rel = done - w.farBase
-		if rel >= wheelFarSpan {
-			w.ovCount++
-			if w.ovTail == nil {
-				w.ovHead = u
-			} else {
-				w.ovTail.WheelNext = u
-			}
-			w.ovTail = u
-			return
-		}
+	i := done & (wheelSpan - 1)
+	if w.tails[i] == nil {
+		w.heads[i] = u
+		w.due[i>>6] |= 1 << (i & 63)
+	} else {
+		w.tails[i].WheelNext = u
 	}
-	w.far.Insert(int(rel), u)
+	w.tails[i] = u
 }
 
 // rotate runs at every wheelSpan-aligned cycle, before the cycle's bucket
-// is processed: far events entering the horizon drain — in ascending due
-// order, FIFO within a due cycle — into their buckets, and any overflow
-// events are re-offered to push. Rotations are at most wheelSpan apart
-// and far events enter at least wheelSpan early, so every event reaches
-// its bucket before it is due.
+// is processed, and re-offers the far chain to push in chain order.
+// Rotations are at most wheelSpan apart, so every event reaches its
+// bucket before it is due.
 func (w *completionWheel) rotate(now uint64) {
-	if !w.far.Empty() {
-		w.far.DrainUpTo(int(now+wheelSpan-w.farBase), func(u *sched.UOp, _ int) {
-			w.pushNear(u, u.CompleteCycle)
-		})
-	}
-	if w.far.Empty() {
-		w.farBase = now // free slide: nothing queued to shift
-	}
-	if w.ovCount > 0 {
-		u := w.ovHead
-		w.ovHead, w.ovTail = nil, nil
-		w.ovCount = 0
-		for u != nil {
-			next := u.WheelNext
-			w.push(u, u.CompleteCycle, now)
-			u = next
-		}
+	u := w.farHead
+	w.farHead, w.farTail = nil, nil
+	for u != nil {
+		next := u.WheelNext
+		w.push(u, u.CompleteCycle, now)
+		u = next
 	}
 }
 
@@ -532,7 +476,6 @@ func New(cfg Config, trace []isa.DynInst, mk SchedulerFactory) (*Pipeline, error
 	}
 	p.rob.init(cfg.ROBSize)
 	p.decodeQ.init(cfg.DecodeQueue)
-	p.wheel.init(cfg.ROBSize)
 	p.issueCtx = sched.IssueCtx{Ready: p.ready, Grant: p.grant}
 	p.sched = mk(rn, m)
 	if p.sched == nil {
@@ -1062,7 +1005,7 @@ func (p *Pipeline) recycle(u *sched.UOp) {
 // --- Execute / writeback events ---
 
 func (p *Pipeline) processCompletions() {
-	if p.cycle&(wheelSpan-1) == 0 && (!p.wheel.far.Empty() || p.wheel.ovCount > 0) {
+	if p.cycle&(wheelSpan-1) == 0 {
 		p.wheel.rotate(p.cycle)
 	}
 	u := p.wheel.take(p.cycle)

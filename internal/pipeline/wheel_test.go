@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -39,7 +39,6 @@ func seqs(us []*sched.UOp) []uint64 {
 // TestWheelNearFIFO: events due the same cycle pop in push order.
 func TestWheelNearFIFO(t *testing.T) {
 	var w completionWheel
-	w.init(16)
 	a, b, c := mkUOp(1, 10), mkUOp(2, 10), mkUOp(3, 10)
 	w.push(a, 10, 0)
 	w.push(b, 10, 0)
@@ -51,24 +50,23 @@ func TestWheelNearFIFO(t *testing.T) {
 }
 
 // TestWheelFarRehome: an event beyond the near horizon waits in the far
-// queue and lands in its bucket at the first rotation that brings its
+// chain and lands in its bucket at the first rotation that brings its
 // due cycle inside the horizon — not earlier, not later.
 func TestWheelFarRehome(t *testing.T) {
 	var w completionWheel
-	w.init(16)
 	done := uint64(2*wheelSpan + 37)
 	u := mkUOp(9, done)
 	w.push(u, done, 0)
-	if w.far.Empty() {
-		t.Fatal("far event not queued")
+	if w.farHead != u {
+		t.Fatal("far event not chained")
 	}
 	// The rotation at wheelSpan does not cover done ≥ 2*wheelSpan.
 	w.rotate(wheelSpan)
-	if w.far.Empty() {
+	if w.farHead != u {
 		t.Fatal("event rehomed a full horizon early")
 	}
 	w.rotate(2 * wheelSpan)
-	if !w.far.Empty() {
+	if w.farHead != nil || w.farTail != nil {
 		t.Fatal("event not rehomed by the covering rotation")
 	}
 	if got := drainBucket(&w, done); len(got) != 1 || got[0] != u {
@@ -76,70 +74,38 @@ func TestWheelFarRehome(t *testing.T) {
 	}
 }
 
-// TestWheelPushRebase: when the far window has gone stale (farBase far
-// behind now), a push beyond farBase+wheelFarSpan slides the window to
-// now instead of overflowing, and queued events survive the slide.
-func TestWheelPushRebase(t *testing.T) {
-	var w completionWheel
-	w.init(16)
-	early := mkUOp(1, wheelSpan+1)
-	w.push(early, wheelSpan+1, 0) // pins farBase at 0
-	now := uint64(100)
-	done := now + wheelFarSpan - 1 // in range only after sliding to now
-	late := mkUOp(2, done)
-	w.push(late, done, now)
-	if w.ovCount != 0 {
-		t.Fatalf("rebase-able push overflowed (ovCount=%d)", w.ovCount)
-	}
-	if w.farBase != now {
-		t.Fatalf("farBase = %d, want %d", w.farBase, now)
-	}
-	// Both events still pop at their exact due cycles.
-	w.rotate(wheelSpan)
-	if got := drainBucket(&w, wheelSpan+1); len(got) != 1 || got[0] != early {
-		t.Fatalf("early bucket = %v", seqs(got))
-	}
-	for c := uint64(2 * wheelSpan); c <= done; c += wheelSpan {
-		w.rotate(c)
-	}
-	if got := drainBucket(&w, done); len(got) != 1 || got[0] != late {
-		t.Fatalf("late bucket = %v", seqs(got))
-	}
-}
-
-// TestWheelOverflowChain: an event past even the far horizon waits in
-// the counted overflow chain across however many rotations it takes,
-// then pops exactly at its due cycle.
+// TestWheelOverflowChain: events many horizons out wait in the far chain
+// across however many rotations they take, then pop exactly at their due
+// cycle, in push order within it — an event pushed from further out stays
+// ahead of one pushed later for the same cycle.
 func TestWheelOverflowChain(t *testing.T) {
 	var w completionWheel
-	w.init(16)
-	// Pin the window at 0 with a queued far event so the overflow path
-	// (not the rebase path) triggers.
 	pin := mkUOp(1, wheelSpan)
 	w.push(pin, wheelSpan, 0)
-	done := uint64(3 * wheelFarSpan)
-	u := mkUOp(2, done)
-	w.push(u, done, 0)
-	if w.ovCount != 1 {
-		t.Fatalf("ovCount = %d, want 1", w.ovCount)
-	}
+	done := uint64(24 * wheelSpan)
+	early := mkUOp(2, done)
+	w.push(early, done, 0)
+	late := mkUOp(3, done)
 	popped := map[uint64][]uint64{}
 	for c := uint64(0); c <= done; c++ {
 		if c&(wheelSpan-1) == 0 {
 			w.rotate(c)
 		}
+		if c == done-2*wheelSpan {
+			w.push(late, done, c)
+		}
 		for _, got := range drainBucket(&w, c) {
 			popped[c] = append(popped[c], got.Seq())
 		}
 	}
-	if w.ovCount != 0 {
-		t.Fatalf("overflow chain never drained (ovCount=%d)", w.ovCount)
+	if w.farHead != nil {
+		t.Fatal("far chain never drained")
 	}
 	if got := popped[wheelSpan]; len(got) != 1 || got[0] != 1 {
 		t.Errorf("pin popped at wrong cycle: %v", popped)
 	}
-	if got := popped[done]; len(got) != 1 || got[0] != 2 {
-		t.Errorf("overflow event popped at wrong cycle: %v", popped)
+	if got := popped[done]; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Errorf("far events popped out of place: %v", popped)
 	}
 	if len(popped) != 2 {
 		t.Errorf("spurious pops: %v", popped)
@@ -151,7 +117,6 @@ func TestWheelOverflowChain(t *testing.T) {
 // precedes the cycle's pushes, so rehomed events head the bucket.
 func TestWheelSameCycleOrderAcrossPaths(t *testing.T) {
 	var w completionWheel
-	w.init(16)
 	due := uint64(2*wheelSpan + 5)
 	farU := mkUOp(1, due)
 	w.push(farU, due, 0)
@@ -167,18 +132,16 @@ func TestWheelSameCycleOrderAcrossPaths(t *testing.T) {
 
 // TestWheelRandomizedSchedule drives the wheel like the pipeline does —
 // rotate at every wheelSpan boundary, then drain the cycle's bucket —
-// with a deterministic pseudo-random event stream whose latencies cross
-// the near horizon, the far horizon and the overflow chain. Every event
-// must pop exactly once, exactly at its due cycle, and bitmap-path
-// events must pop in bucket-filing order: near events file at push
-// time, far events file at the rotation that rehomes them (ascending
-// due, FIFO within a due cycle) — the order the chain-based wheel
-// produced, which the goldens pin.
+// with a deterministic pseudo-random event stream whose latencies reach
+// 16 horizons, so far events wait several rotations. Every event must
+// pop exactly once, exactly at its due cycle, and in bucket-filing order:
+// near events file at push time, far events at the rotation that rehomes
+// them, in push order — the order the goldens pin.
 func TestWheelRandomizedSchedule(t *testing.T) {
 	var w completionWheel
-	w.init(4096)
 
-	const end = 3 * wheelFarSpan
+	const farLat = 8 * wheelSpan
+	const end = 3 * farLat
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -188,76 +151,58 @@ func TestWheelRandomizedSchedule(t *testing.T) {
 	}
 
 	type farEv struct{ seq, due uint64 }
-	var myFar []farEv                    // mirror of the far queue, insertion order
-	expectOrder := map[uint64][]uint64{} // due → bitmap-path seqs in filing order
-	overflowSeqs := map[uint64]bool{}
+	var myFar []farEv                    // mirror of the far chain
+	expectOrder := map[uint64][]uint64{} // due → seqs in filing order
 	var seq uint64
 	pushed, poppedN := 0, 0
 
-	for c := uint64(0); c <= end+2*wheelFarSpan; c++ {
+	for c := uint64(0); c <= end+2*farLat; c++ {
 		if c&(wheelSpan-1) == 0 {
 			w.rotate(c)
 			// Mirror the rehoming: entries entering the horizon file
-			// into their buckets now, ascending by due, FIFO within.
-			limit := c + wheelSpan
-			var rest, rehomed []farEv
+			// into their buckets now, in chain order.
+			rest := myFar[:0]
 			for _, e := range myFar {
-				if e.due < limit {
-					rehomed = append(rehomed, e)
+				if e.due < c+wheelSpan {
+					expectOrder[e.due] = append(expectOrder[e.due], e.seq)
 				} else {
 					rest = append(rest, e)
 				}
 			}
 			myFar = rest
-			sort.SliceStable(rehomed, func(i, j int) bool { return rehomed[i].due < rehomed[j].due })
-			for _, e := range rehomed {
-				expectOrder[e.due] = append(expectOrder[e.due], e.seq)
-			}
 		}
-		var gotBitmap []uint64
+		var got []uint64
 		for _, u := range drainBucket(&w, c) {
 			if u.CompleteCycle != c {
 				t.Fatalf("seq %d popped at cycle %d, due %d", u.Seq(), c, u.CompleteCycle)
 			}
 			poppedN++
-			if !overflowSeqs[u.Seq()] {
-				gotBitmap = append(gotBitmap, u.Seq())
-			}
+			got = append(got, u.Seq())
 		}
-		exp := expectOrder[c]
-		if len(gotBitmap) != len(exp) {
-			t.Fatalf("cycle %d: popped bitmap seqs %v, want %v", c, gotBitmap, exp)
+		if exp := expectOrder[c]; !slices.Equal(got, exp) {
+			t.Fatalf("cycle %d: pop order %v, want %v", c, got, exp)
 		}
-		for i := range exp {
-			if gotBitmap[i] != exp[i] {
-				t.Fatalf("cycle %d: bitmap pop order %v, want %v", c, gotBitmap, exp)
-			}
-		}
+		delete(expectOrder, c)
 		if c > end {
 			continue // drain-only tail
 		}
 		// A few events per cycle with a latency mix: mostly near, some
-		// far, a rare overflow-range tail (mimicking DRAM queueing).
+		// far, a rare tail past 8 horizons (mimicking DRAM queueing).
 		for i := uint64(0); i < next()%3; i++ {
 			var lat uint64
 			switch next() % 8 {
 			case 0, 1, 2, 3, 4:
 				lat = 1 + next()%(wheelSpan-1) // near bucket
 			case 5, 6:
-				lat = wheelSpan + next()%(wheelFarSpan-wheelSpan) // far queue
+				lat = wheelSpan + next()%(farLat-wheelSpan)
 			default:
-				lat = wheelFarSpan + next()%wheelFarSpan // may overflow
+				lat = farLat + next()%farLat
 			}
 			seq++
-			u := mkUOp(seq, c+lat)
-			before := w.ovCount
-			w.push(u, c+lat, c)
-			switch {
-			case w.ovCount > before:
-				overflowSeqs[seq] = true
-			case lat >= wheelSpan:
+			w.push(mkUOp(seq, c+lat), c+lat, c)
+			if lat >= wheelSpan {
 				myFar = append(myFar, farEv{seq, c + lat})
-			default:
+			} else {
 				expectOrder[c+lat] = append(expectOrder[c+lat], seq)
 			}
 			pushed++

@@ -108,25 +108,32 @@ func TestOoOOutOfOrderIssue(t *testing.T) {
 }
 
 func TestOoOOldestFirstPriority(t *testing.T) {
-	// Two ready ops on the same port, the OLDER one dispatched second so
-	// it lands in the higher slot index. Oldest-first must still pick it;
-	// position-first picks the lower slot (the younger op).
-	s := NewOoO(4, 8, true)
-	s.Dispatch(mkUOp(10, isa.OpIntALU, 0), 0) // slot 0, younger seq
-	s.Dispatch(mkUOp(5, isa.OpIntALU, 0), 0)  // slot 1, older seq
-	var granted []*UOp
-	s.Issue(1, ctx(always, &granted))
-	if len(granted) != 1 || granted[0].Seq() != 5 {
-		t.Fatalf("oldest-first granted seq %d, want 5", granted[0].Seq())
+	// Dispatch in program order, issue seq 1 so slot 0 frees, then
+	// dispatch seq 4 into it. With seqs 2 and 4 ready on one port,
+	// oldest-first must grant 2; position-first grants slot 0's seq 4.
+	grantOf := func(oldestFirst bool) uint64 {
+		s := NewOoO(4, 8, oldestFirst)
+		for seq := uint64(1); seq <= 3; seq++ {
+			s.Dispatch(mkUOp(seq, isa.OpIntALU, int(seq)), 0)
+		}
+		var granted []*UOp
+		s.Issue(1, ctx(func(u *UOp) bool { return u.Seq() == 1 }, &granted))
+		if len(granted) != 1 || granted[0].Seq() != 1 {
+			t.Fatalf("oldestFirst=%v: first issue granted %d μops, want seq 1", oldestFirst, len(granted))
+		}
+		s.Dispatch(mkUOp(4, isa.OpIntALU, 2), 0)
+		granted = nil
+		s.Issue(2, ctx(func(u *UOp) bool { return u.Seq() != 3 }, &granted))
+		if len(granted) != 1 {
+			t.Fatalf("oldestFirst=%v: granted %d on one port, want 1", oldestFirst, len(granted))
+		}
+		return granted[0].Seq()
 	}
-
-	s2 := NewOoO(4, 8, false)
-	s2.Dispatch(mkUOp(10, isa.OpIntALU, 0), 0) // slot 0
-	s2.Dispatch(mkUOp(5, isa.OpIntALU, 0), 0)  // slot 1
-	granted = nil
-	s2.Issue(1, ctx(always, &granted))
-	if len(granted) != 1 || granted[0].Seq() != 10 {
-		t.Fatalf("position-first granted seq %d, want 10 (slot order)", granted[0].Seq())
+	if got := grantOf(true); got != 2 {
+		t.Errorf("oldest-first granted seq %d, want 2", got)
+	}
+	if got := grantOf(false); got != 4 {
+		t.Errorf("position-first granted seq %d, want 4 (slot order)", got)
 	}
 }
 

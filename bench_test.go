@@ -197,9 +197,11 @@ func runSim(cfg ballerino.Config) error {
 // BenchmarkObsOverhead measures the cost of the observability layer on
 // the simulation: "off" runs with no recorder (one untaken nil check per
 // emit site), "recorder" attaches a recorder with no sinks (the served
-// configuration: one kind count per event plus heartbeats), and "sinks"
-// streams every event to Chrome-trace, JSONL and CSV files in a temporary
-// directory. It compares them; nothing gates the ratios.
+// configuration: no events, only heartbeats and the commit delay
+// histograms, and quiet cycles skipped like "off"), and "sinks" streams
+// every event to Chrome-trace, JSONL and CSV files in a temporary
+// directory, stepping every cycle. It compares them; nothing gates the
+// ratios.
 // TestSteadyStateAllocs and TestRecorderSteadyStateAllocs
 // (internal/pipeline) hold the cycle loop at zero allocations without a
 // recorder and with a sink-less one.

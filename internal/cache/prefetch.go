@@ -11,19 +11,7 @@ type StridePrefetcher struct {
 	degree     int
 	confidence int8
 	target     *Cache
-	// second, when set, receives deeper prefetches (an L2 stream
-	// prefetcher running further ahead than the L1's MSHRs allow).
-	second       *Cache
-	secondDegree int
-	stats        PrefetchStats
-}
-
-// WithSecondTarget adds a deeper prefetch stream into another cache level
-// and returns p for chaining.
-func (p *StridePrefetcher) WithSecondTarget(c *Cache, degree int) *StridePrefetcher {
-	p.second = c
-	p.secondDegree = degree
-	return p
+	stats      PrefetchStats
 }
 
 type strideEntry struct {
@@ -104,15 +92,5 @@ func (p *StridePrefetcher) Train(pc uint64, addr uint64, now uint64) {
 		}
 		p.stats.Issues++
 		p.target.Prefetch(uint64(next), now)
-	}
-	if p.second != nil {
-		for i := p.degree + 1; i <= p.degree+p.secondDegree; i++ {
-			next := int64(addr) + lineStride*int64(i)
-			if next <= 0 {
-				break
-			}
-			p.stats.Issues++
-			p.second.Prefetch(uint64(next), now)
-		}
 	}
 }

@@ -100,12 +100,8 @@ func (e *DeadlockError) Error() string {
 // and call Check once per cycle (the pipeline does this when auditing is
 // enabled) and ObserveCommit for every committed μop.
 type Auditor struct {
-	// Interval audits every Nth cycle (default 1 = every cycle). The
-	// commit-order check always runs on every commit regardless.
-	Interval uint64
-
 	nextCommit uint64 // expected next commit sequence number
-	checks     uint64 // Check invocations that actually audited
+	checks     uint64 // Check invocations
 
 	// scratch, reused across cycles to stay allocation-free in steady
 	// state.
@@ -118,7 +114,6 @@ type Auditor struct {
 // sequence number 0.
 func NewAuditor() *Auditor {
 	return &Auditor{
-		Interval:  1,
 		robSeqs:   make(map[uint64]int, 256),
 		producers: make(map[int32]int, 256),
 		buffered:  make(map[uint64]bool, 256),
@@ -157,9 +152,6 @@ func (a *Auditor) ObserveCommit(u *sched.UOp) error {
 // Check audits the machine state at the end of one cycle. It returns nil
 // when every invariant holds, or the first ViolationError found.
 func (a *Auditor) Check(s Source) error {
-	if a.Interval > 1 && s.Cycle()%a.Interval != 0 {
-		return nil
-	}
 	a.checks++
 	cycle := s.Cycle()
 

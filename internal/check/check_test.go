@@ -243,19 +243,6 @@ func TestCheckStaleCompletion(t *testing.T) {
 	wantViolation(t, check.NewAuditor().Check(f), "readiness")
 }
 
-func TestCheckInterval(t *testing.T) {
-	f := consistent(t)
-	f.fetched = 99 // broken accounting...
-	a := check.NewAuditor()
-	a.Interval = 1000 // ...but cycle 10 is not on the audit grid
-	if err := a.Check(f); err != nil {
-		t.Fatalf("off-interval cycle audited: %v", err)
-	}
-	if a.Checks() != 0 {
-		t.Fatalf("Checks() = %d, want 0", a.Checks())
-	}
-}
-
 func TestCollectAndRender(t *testing.T) {
 	f := consistent(t)
 	f.rob[0].MDPBlockedSince = 4

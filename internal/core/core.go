@@ -170,6 +170,9 @@ func (b *Ballerino) Capacity() int {
 // SetProbe implements sched.Probed.
 func (b *Ballerino) SetProbe(p sched.Probe) { b.probe = p }
 
+// PIQShares implements sched.Sharer.
+func (b *Ballerino) PIQShares() uint64 { return b.allocShared }
+
 // Occupancy implements sched.Scheduler.
 func (b *Ballerino) Occupancy() int {
 	n := b.siq.Len()

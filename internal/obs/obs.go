@@ -9,24 +9,23 @@
 // simulation with no recorder pays one untaken branch per event site (see
 // BenchmarkEmitNil here and BenchmarkObsOverhead in the repository root).
 //
-// It costs only what it uses when on. Emitting allocates nothing, even
-// with a recorder attached: a recorder with no sinks (the heartbeat and
-// gauge feed of a served job) counts the event's kind and returns, and one
-// with sinks hands each of them a pointer to a single event the recorder
-// reuses, so a sink must copy any event it keeps. Events carry the μop's
-// immutable trace entry instead of its rendered text, and only the writers
-// that print a label (JSONLSink, and ChromeSink and the Kanata writer
-// through Assembler) format it. TestRecorderSteadyStateAllocs
-// (internal/pipeline) pins the recorder-attached cycle loop at zero
-// allocations.
+// It costs only what it uses when on. Events exist for sinks: the
+// pipeline emits them only to a recorder with sinks, which hands each
+// sink a pointer to a single event it reuses, so a sink must copy any
+// event it keeps. Events carry the μop's immutable trace entry instead of
+// its rendered text, and only the writers that print a label (JSONLSink,
+// and ChromeSink and the Kanata writer through Assembler) format it. A
+// recorder without sinks (the heartbeat and gauge feed of a served job)
+// sees no events; it keeps the commit delay histograms and the heartbeat
+// snapshots, and a hook reads the whole measured region as the difference
+// of the snapshot Start re-based the recorder at and the last one
+// (Snapshots). TestRecorderSteadyStateAllocs (internal/pipeline) pins the
+// recorder-attached cycle loop at zero allocations.
 //
-// A sink-less recorder lets the pipeline skip quiet cycles. It lists the
-// event kinds each of the last two cycles emitted, and Tick counts them
-// once more for every quiet cycle the pipeline jumps over, replaying the
-// two cycles in turn. A jump ends at the next heartbeat cycle (Horizon),
-// so heartbeats, interval hooks and the counts they read are the ones
-// stepping every cycle gives. A recorder with sinks sees every cycle: the
-// sinks want each event, so the pipeline steps.
+// A sink-less recorder lets the pipeline skip quiet cycles. A jump ends
+// at the next heartbeat cycle (Horizon), so heartbeats and interval hooks
+// see the snapshots stepping every cycle gives. A recorder with sinks
+// sees every cycle: the sinks want each event, so the pipeline steps.
 package obs
 
 import (
@@ -177,34 +176,14 @@ type Recorder struct {
 	interval uint64
 	nextBeat uint64
 	index    int
-	prev     Snapshot
-
-	kindCounts [numKinds]uint64
-	// thisCycle and lastCycle list the kinds this cycle and the one
-	// before emitted (sink-less recorders only), for Tick to replay.
-	thisCycle, lastCycle cycleKinds
+	start    Snapshot // the snapshot Start re-based the recorder at
+	prev     Snapshot // the snapshot the last interval closed at
 
 	reg   *Registry
 	delay [3]*Histogram // decode→issue delay per sched.Class
 	occ   *Histogram    // scheduler occupancy at heartbeat
 	lq    *Histogram    // load-queue pressure at heartbeat
 	sq    *Histogram    // store-queue pressure at heartbeat
-}
-
-// cycleKinds lists the event kinds one cycle emitted, in emit order. A
-// quiet cycle emits at most a dispatch stall and a refused steering probe;
-// n beyond the list's length marks a busier cycle, which cannot be
-// replayed.
-type cycleKinds struct {
-	n     int
-	kinds [4]Kind
-}
-
-// repeat counts the listed kinds k more times.
-func (c *cycleKinds) repeat(counts *[numKinds]uint64, k uint64) {
-	for _, kind := range c.kinds[:min(c.n, len(c.kinds))] {
-		counts[kind] += k
-	}
 }
 
 // DefaultInterval is the heartbeat period (cycles) when none is given.
@@ -263,24 +242,26 @@ func (r *Recorder) Start(s Snapshot) {
 	if r == nil {
 		return
 	}
-	r.prev = s
+	r.start, r.prev = s, s
 	r.nextBeat = s.Cycle + r.interval
 }
 
-// Emit counts one event by kind and publishes it to every sink. With no
-// sink attached it also lists the kind for Tick; otherwise the sinks see
-// a copy the recorder owns, so e never escapes and emitting allocates
-// nothing. Safe on a nil receiver (no-op).
+// Snapshots returns the snapshot Start re-based the recorder at and the
+// one the last interval closed at: their Delta covers the measured region
+// up to the last heartbeat, or all of it once Finish has run. Safe on a
+// nil receiver (zero snapshots).
+func (r *Recorder) Snapshots() (start, last Snapshot) {
+	if r == nil {
+		return Snapshot{}, Snapshot{}
+	}
+	return r.start, r.prev
+}
+
+// Emit publishes one event to every sink. The sinks see a copy the
+// recorder owns, so e never escapes and emitting allocates nothing. Safe
+// on a nil receiver (no-op).
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
-		return
-	}
-	r.kindCounts[e.Kind]++
-	if len(r.sinks) == 0 {
-		if c := &r.thisCycle; c.n < len(c.kinds) {
-			c.kinds[c.n] = e.Kind
-		}
-		r.thisCycle.n++
 		return
 	}
 	r.ev = e
@@ -289,14 +270,17 @@ func (r *Recorder) Emit(e Event) {
 	}
 }
 
-// ObserveCommit records a committed μop: the commit event plus the
-// decode→issue delay histogram of its class.
+// ObserveCommit records a committed μop: the decode→issue delay histogram
+// of its class, plus the commit event when sinks are attached.
 func (r *Recorder) ObserveCommit(u *sched.UOp, cycle uint64) {
 	if r == nil {
 		return
 	}
 	if u.IssueCycle >= u.DecodeCycle {
 		r.delay[u.Cls].Observe(u.IssueCycle - u.DecodeCycle)
+	}
+	if len(r.sinks) == 0 {
+		return
 	}
 	r.Emit(Event{
 		Kind: KindCommit, Cycle: cycle, Seq: u.Seq(), PC: uint64(u.D.PC),
@@ -312,15 +296,11 @@ func (r *Recorder) HeartbeatDue(cycle uint64) bool {
 
 // Horizon returns the furthest cycle a jump over the quiet cycles after
 // cycle now may land on: the next heartbeat, so that heartbeats see the
-// cycles stepping gives, or now+1 — no jump — when a heartbeat is due now
-// or Tick could not replay the two cycles up to now, one of which emitted
-// more events than its list holds. Safe on a nil receiver (no bound).
+// cycles stepping gives, or now+1 — no jump — when a heartbeat is due now.
+// Safe on a nil receiver (no bound).
 func (r *Recorder) Horizon(now uint64) uint64 {
-	switch {
-	case r == nil:
+	if r == nil {
 		return math.MaxUint64
-	case r.thisCycle.n > len(r.thisCycle.kinds) || r.lastCycle.n > len(r.lastCycle.kinds):
-		return now + 1
 	}
 	return max(r.nextBeat, now+1)
 }
@@ -328,22 +308,6 @@ func (r *Recorder) Horizon(now uint64) uint64 {
 // HasSinks reports whether any sink is attached: a recorder with sinks
 // sees every cycle. Safe on a nil receiver (false).
 func (r *Recorder) HasSinks() bool { return r != nil && len(r.sinks) > 0 }
-
-// Tick closes the current cycle and the n−1 quiet cycles after it, which
-// the pipeline skipped: they repeat the current cycle and the one before
-// it in turn, starting with the one before, so their events are counted
-// the way stepping would count them. Only a sink-less recorder is ticked
-// with n > 1. Safe on a nil receiver (no-op).
-func (r *Recorder) Tick(n uint64) {
-	if r == nil {
-		return
-	}
-	if k := n - 1; k > 0 {
-		r.lastCycle.repeat(&r.kindCounts, (k+1)/2)
-		r.thisCycle.repeat(&r.kindCounts, k/2)
-	}
-	r.lastCycle, r.thisCycle = r.thisCycle, cycleKinds{}
-}
 
 // Heartbeat closes the current interval at snapshot s: the delta against
 // the previous snapshot goes to every sink, and the instantaneous queue
@@ -371,7 +335,7 @@ func (r *Recorder) Finish(s Snapshot) {
 }
 
 func (r *Recorder) beat(s Snapshot) {
-	iv := s.delta(r.prev)
+	iv := s.Delta(r.prev)
 	iv.Index = r.index
 	r.index++
 	r.prev = s
@@ -392,14 +356,6 @@ func (r *Recorder) Intervals() int {
 		return 0
 	}
 	return r.index
-}
-
-// EventCount returns how many events of kind k were emitted.
-func (r *Recorder) EventCount(k Kind) uint64 {
-	if r == nil || int(k) >= len(r.kindCounts) {
-		return 0
-	}
-	return r.kindCounts[k]
 }
 
 // FinalizeSched folds the scheduler's end-of-run counters into the
@@ -443,6 +399,13 @@ type Snapshot struct {
 	DispatchStalls uint64
 	Violations     uint64
 	Mispredicts    uint64
+	Dispatched     uint64
+
+	// PIQShares counts the μops the scheduler allocated into a shared
+	// P-IQ partition (sched.Sharer), since the machine was built: unlike
+	// the counters above it includes warm-up, so only a difference of two
+	// snapshots is meaningful.
+	PIQShares uint64
 
 	SchedOccupancy int
 	LQ             int
@@ -489,7 +452,8 @@ func (iv Interval) IPC() float64 {
 	return float64(iv.Committed) / float64(iv.EndCycle-iv.StartCycle)
 }
 
-func (s Snapshot) delta(prev Snapshot) Interval {
+// Delta returns the interval from prev to s. The queue levels are s's.
+func (s Snapshot) Delta(prev Snapshot) Interval {
 	iv := Interval{
 		StartCycle:     prev.Cycle,
 		EndCycle:       s.Cycle,

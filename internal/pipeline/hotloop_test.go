@@ -45,18 +45,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 // TestRecorderSteadyStateAllocs extends the zero-allocation contract to a
 // recorder with no sinks and no hooks attached — the configuration every
-// served job runs under to feed its heartbeats and gauges. Every emit site
-// fires and every heartbeat is taken, yet the cycle loop must still not
-// allocate: events reach the recorder by value and μop labels are left
-// unrendered until a sink writes one.
+// served job runs under to feed its heartbeats and gauges. Every commit
+// feeds its delay histograms and every heartbeat is taken, yet the cycle
+// loop must still not allocate.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
 	steadyStateAllocs(t, func(t *testing.T, pl *pipeline.Pipeline) {
 		rec := obs.NewRecorder(0)
 		pl.AttachObs(rec)
 		t.Cleanup(func() {
-			if rec.EventCount(obs.KindDecode) == 0 || rec.Intervals() == 0 {
-				t.Errorf("recorder saw %d decode events and %d heartbeats, want both > 0",
-					rec.EventCount(obs.KindDecode), rec.Intervals())
+			if rec.Intervals() == 0 {
+				t.Error("recorder took no heartbeats, want > 0")
 			}
 		})
 	})

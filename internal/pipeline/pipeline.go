@@ -413,10 +413,12 @@ type Pipeline struct {
 	// inj, when non-nil, perturbs the machine with timing-only faults.
 	inj Injector
 
-	// obs, when non-nil, receives typed events from every stage plus
-	// periodic heartbeat snapshots. A nil recorder costs one untaken
-	// branch per emit site — the zero-cost-when-off contract.
-	obs *obs.Recorder
+	// obs, when non-nil, takes the commit delay histograms and periodic
+	// heartbeat snapshots. events is the same recorder when it has sinks
+	// (nil otherwise), and every stage emits typed events to it. A nil
+	// recorder costs one untaken branch per site — the zero-cost-when-off
+	// contract.
+	obs, events *obs.Recorder
 
 	// td, when non-nil, attributes every issue slot of every cycle to a
 	// CPI-stack category. When nil the issue path keeps its original
@@ -546,22 +548,24 @@ func (p *Pipeline) EnableAudit() *check.Auditor {
 // SetInjector attaches a fault injector (nil detaches).
 func (p *Pipeline) SetInjector(inj Injector) { p.inj = inj }
 
-// AttachObs attaches an observability recorder (nil detaches): every stage
-// emits typed events, a heartbeat snapshot is taken each recorder
-// interval, and — when the scheduler implements sched.Probed — its
-// internal steering/sharing events are bridged onto the bus. A recorder
-// with sinks makes the loop step every cycle; a sink-less one lets it
-// skip quiet cycles (see stretch). Attaching restarts the quiet streak,
-// so a jump never replays a cycle the recorder did not see.
+// AttachObs attaches an observability recorder (nil detaches): a
+// heartbeat snapshot is taken each recorder interval, and commits feed its
+// delay histograms. A recorder with sinks also gets the typed events of
+// every stage and — when the scheduler implements sched.Probed — its
+// internal steering/sharing events, and makes the loop step every cycle;
+// a sink-less one sees no events and lets the loop skip quiet cycles (see
+// stretch).
 func (p *Pipeline) AttachObs(r *obs.Recorder) {
-	p.obs = r
-	p.quiet = false
+	p.obs, p.events = r, nil
+	if r.HasSinks() {
+		p.events = r
+	}
 	r.Start(p.ObsSnapshot())
 	pr, ok := p.sched.(sched.Probed)
 	if !ok {
 		return
 	}
-	if r == nil {
+	if p.events == nil {
 		pr.SetProbe(nil)
 		return
 	}
@@ -624,7 +628,8 @@ func (p *Pipeline) grantTD(u *sched.UOp) {
 // readiness, so u's readiness is unknown here; the extra ready() call
 // only runs with accounting attached, and not at all once the cycle's
 // blame is settled. It is idempotent — its only side effect,
-// MDPBlockedSince, is a debug first-blocked timestamp.)
+// MDPBlockedSince, is the first-refused cycle the deadlock autopsy
+// reports.)
 func (p *Pipeline) portBlockedTD(u *sched.UOp) {
 	if p.td.Settled() {
 		return
@@ -673,9 +678,13 @@ func (p *Pipeline) ObsSnapshot() obs.Snapshot {
 		DispatchStalls: p.stats.DispatchStall,
 		Violations:     p.stats.Violations,
 		Mispredicts:    p.stats.Mispredicts,
+		Dispatched:     p.stats.Dispatched,
 		SchedOccupancy: p.sched.Occupancy(),
 		LQ:             nl,
 		SQ:             ns,
+	}
+	if sh, ok := p.sched.(sched.Sharer); ok {
+		s.PIQShares = sh.PIQShares()
 	}
 	if p.td != nil {
 		s.TopdownOn = true
@@ -737,7 +746,7 @@ func (p *Pipeline) Engine() obs.EngineInfo {
 		Jumps:         p.jumps,
 	}
 	switch {
-	case p.obs.HasSinks():
+	case p.events != nil:
 		e.SteppedFor = "sinks"
 	case p.audit != nil:
 		e.SteppedFor = "audit"
@@ -836,9 +845,9 @@ func (p *Pipeline) step() {
 // Runs with a recorder that has sinks, the auditor or a fault plan
 // attached keep stepping: sink events, audit checks and injector draws
 // are per cycle. Top-down accounting skips along (topdown.Engine.Repeat),
-// and so does a sink-less recorder (obs.Recorder.Tick).
+// and so does a sink-less recorder, which sees no events.
 func (p *Pipeline) stretch() uint64 {
-	if p.busy || p.stepOnly || p.obs.HasSinks() || p.audit != nil || p.inj != nil {
+	if p.busy || p.stepOnly || p.events != nil || p.audit != nil || p.inj != nil {
 		p.quiet = false
 		return 1
 	}
@@ -867,9 +876,8 @@ func (p *Pipeline) stretch() uint64 {
 //     own completion, but a resident divide waits on the former);
 //   - the cycle past the MaxCycles budget, and the cycle the no-commit
 //     watchdog fires, so both trip exactly where stepping trips them;
-//   - the recorder's horizon: its next heartbeat, so it snapshots the
-//     cycle stepping snapshots, or the next cycle when it cannot replay
-//     the jump (obs.Recorder.Horizon).
+//   - the recorder's next heartbeat, so it snapshots the cycle stepping
+//     snapshots (obs.Recorder.Horizon).
 func (p *Pipeline) nextEvent(wake uint64) uint64 {
 	next := min(p.wheel.nextDue(p.cycle), wake, p.obs.Horizon(p.cycle))
 	if p.fetchStallUntil > p.cycle {
@@ -902,7 +910,6 @@ func (p *Pipeline) nextEvent(wake uint64) uint64 {
 //     select inputs, reads of heads that did not issue, P-IQ head
 //     alternation);
 //   - top-down accounting's idle-slot blame;
-//   - the events a sink-less recorder counts (obs.Recorder.Tick);
 //   - the clock.
 //
 // Recorder heartbeats and the auditor run between the charges and the
@@ -922,11 +929,8 @@ func (p *Pipeline) tick(n uint64) {
 			p.decodeQ.n >= p.cfg.DecodeQueue)
 		p.td.Repeat(n - 1)
 	}
-	if p.obs != nil {
-		p.obs.Tick(n)
-		if p.obs.HeartbeatDue(p.cycle) {
-			p.obs.Heartbeat(p.ObsSnapshot())
-		}
+	if p.obs.HeartbeatDue(p.cycle) {
+		p.obs.Heartbeat(p.ObsSnapshot())
 	}
 	if p.audit != nil && p.auditErr == nil {
 		if err := p.audit.Check(p); err != nil {
@@ -1023,11 +1027,11 @@ func (p *Pipeline) processCompletions() {
 		}
 		p.sched.Complete(u.Dst, p.cycle)
 		p.rn.MarkReady(u.Dst)
-		if p.obs != nil {
-			p.obs.Emit(obs.Event{Kind: obs.KindWriteback, Cycle: p.cycle, Seq: u.Seq(),
+		if p.events != nil {
+			p.events.Emit(obs.Event{Kind: obs.KindWriteback, Cycle: p.cycle, Seq: u.Seq(),
 				PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port)})
 			if u.Dst != rename.PhysNone {
-				p.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: p.cycle, Seq: u.Seq(),
+				p.events.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: p.cycle, Seq: u.Seq(),
 					Arg: uint64(u.Dst)})
 			}
 		}
@@ -1057,11 +1061,6 @@ func (p *Pipeline) checkViolation(st *sched.UOp) {
 	if victim == nil {
 		return
 	}
-	if debugViolations {
-		fmt.Printf("VIOLATION cyc=%d store seq=%d pc=%d issue=%d done=%d | load seq=%d pc=%d issue=%d mdpWait=%d blockedSince=%d\n",
-			p.cycle, st.Seq(), st.D.PC, st.IssueCycle, st.CompleteCycle,
-			victim.Seq(), victim.D.PC, victim.IssueCycle, victim.MDPWait, victim.MDPBlockedSince)
-	}
 	p.stats.Violations++
 	if p.cfg.UseMDP {
 		p.mdp.TrainViolation(uint64(st.D.PC), uint64(victim.D.PC))
@@ -1072,8 +1071,8 @@ func (p *Pipeline) checkViolation(st *sched.UOp) {
 // flushFrom squashes every μop with seq ≥ bound and redirects fetch to it.
 func (p *Pipeline) flushFrom(bound uint64) {
 	p.stats.Flushes++
-	if p.obs != nil {
-		p.obs.Emit(obs.Event{Kind: obs.KindFlush, Cycle: p.cycle, Seq: bound})
+	if p.events != nil {
+		p.events.Emit(obs.Event{Kind: obs.KindFlush, Cycle: p.cycle, Seq: bound})
 	}
 
 	// RAT restoration must unwind renames in reverse rename order. The
@@ -1120,8 +1119,8 @@ func (p *Pipeline) squash(u *sched.UOp, rec rename.Entry) {
 	u.Squashed = true
 	p.totSquashed++
 	p.stats.Squashed++
-	if p.obs != nil {
-		p.obs.Emit(obs.Event{Kind: obs.KindSquash, Cycle: p.cycle, Seq: u.Seq(),
+	if p.events != nil {
+		p.events.Emit(obs.Event{Kind: obs.KindSquash, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op})
 	}
 	p.rn.Squash(rec)
@@ -1219,10 +1218,10 @@ func (p *Pipeline) grant(u *sched.UOp) {
 	}
 	p.wheel.push(u, done, p.cycle)
 
-	if p.obs != nil {
-		p.obs.Emit(obs.Event{Kind: obs.KindIssue, Cycle: p.cycle, Seq: u.Seq(),
+	if p.events != nil {
+		p.events.Emit(obs.Event{Kind: obs.KindIssue, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port), Arg: u.ReadyCycle})
-		p.obs.Emit(obs.Event{Kind: obs.KindExec, Cycle: p.cycle, Seq: u.Seq(),
+		p.events.Emit(obs.Event{Kind: obs.KindExec, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port), Arg: done})
 	}
 }
@@ -1290,8 +1289,9 @@ func (p *Pipeline) dispatch() {
 		p.rob.push(robEntry{u: u, rec: de.rec})
 		p.lsq.Insert(u)
 		p.decodeQ.popFront()
-		if p.obs != nil {
-			p.obs.Emit(obs.Event{Kind: obs.KindDispatch, Cycle: p.cycle, Seq: u.Seq(),
+		p.stats.Dispatched++
+		if p.events != nil {
+			p.events.Emit(obs.Event{Kind: obs.KindDispatch, Cycle: p.cycle, Seq: u.Seq(),
 				PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port)})
 		}
 	}
@@ -1302,8 +1302,8 @@ func (p *Pipeline) dispatch() {
 func (p *Pipeline) dispatchStall(u *sched.UOp, cause topdown.StallCause) {
 	p.stall = cause
 	p.td.NoteDispatchStall(cause)
-	if p.obs != nil {
-		p.obs.Emit(obs.Event{Kind: obs.KindStall, Cycle: p.cycle, Seq: u.Seq(),
+	if p.events != nil {
+		p.events.Emit(obs.Event{Kind: obs.KindStall, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op})
 	}
 }
@@ -1393,10 +1393,10 @@ func (p *Pipeline) renameOne(de *decodeEntry) bool {
 	u.Port = p.cfg.Ports.Pick(u.D.Op, p.portInflight)
 	p.portInflight[u.Port]++
 
-	if p.obs != nil {
-		p.obs.Emit(obs.Event{Kind: obs.KindDecode, Cycle: u.DecodeCycle, Seq: u.Seq(),
+	if p.events != nil {
+		p.events.Emit(obs.Event{Kind: obs.KindDecode, Cycle: u.DecodeCycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op, Inst: u.D})
-		p.obs.Emit(obs.Event{Kind: obs.KindRename, Cycle: p.cycle, Seq: u.Seq(),
+		p.events.Emit(obs.Event{Kind: obs.KindRename, Cycle: p.cycle, Seq: u.Seq(),
 			PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port), Arg: uint64(u.Dst)})
 	}
 	return true
@@ -1432,8 +1432,8 @@ func (p *Pipeline) fetch() {
 		p.totFetched++
 		p.decodeQ.push(decodeEntry{u: u, visibleAt: p.cycle + p.cfg.FrontLatency})
 		p.fetchIdx++
-		if p.obs != nil {
-			p.obs.Emit(obs.Event{Kind: obs.KindFetch, Cycle: p.cycle, Seq: u.Seq(),
+		if p.events != nil {
+			p.events.Emit(obs.Event{Kind: obs.KindFetch, Cycle: p.cycle, Seq: u.Seq(),
 				PC: uint64(d.PC), Op: d.Op})
 		}
 
@@ -1462,6 +1462,3 @@ func (p *Pipeline) fetch() {
 		}
 	}
 }
-
-// debugViolations enables verbose violation tracing for diagnostics.
-var debugViolations = false

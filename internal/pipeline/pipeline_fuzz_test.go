@@ -17,7 +17,7 @@ import (
 // or lost μop fails the target. The same trace then runs plainly (no
 // auditor, no faults) through the skipping loop and the reference
 // stepper, each with a sink-less recorder on a short heartbeat interval;
-// their digests, event counts and interval rows must match.
+// their digests, interval rows and recorder snapshots must match.
 func FuzzPipeline(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2))
 	f.Add(uint64(42), uint8(7), uint8(0))

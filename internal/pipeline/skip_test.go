@@ -93,30 +93,21 @@ func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, step
 // attachRecorder attaches a recorder without sinks, as a served job does,
 // with heartbeat interval beat. The returned function closes the last
 // interval once the run is over and renders everything the recorder saw:
-// each interval row together with the event counts read inside its hook
-// (as a served job's gauges read them), the final event counts, the
-// interval count and the metrics registry.
+// each interval row together with the start and last snapshots read
+// inside its hook (as a served job's gauges read them), the interval
+// count and the metrics registry.
 func attachRecorder(p *pipeline.Pipeline, beat uint64) func() []byte {
 	rec := obs.NewRecorder(beat)
 	var out []byte
 	rec.OnInterval(func(iv obs.Interval) {
-		out = appendEventCounts(fmt.Appendf(out, "interval: %+v\n", iv), rec)
+		start, last := rec.Snapshots()
+		out = fmt.Appendf(out, "interval: %+v\nstart: %+v\nlast: %+v\n", iv, start, last)
 	})
 	p.AttachObs(rec)
 	return func() []byte {
 		rec.Finish(p.ObsSnapshot())
-		out = appendEventCounts(out, rec)
 		return fmt.Appendf(out, "intervals: %d\nmetrics: %+v\n", rec.Intervals(), *rec.Registry().Dump())
 	}
-}
-
-// appendEventCounts renders rec's count of every event kind.
-func appendEventCounts(b []byte, rec *obs.Recorder) []byte {
-	b = append(b, "events:"...)
-	for k := obs.Kind(0); k.String() != "unknown"; k++ {
-		b = fmt.Appendf(b, " %s=%d", k, rec.EventCount(k))
-	}
-	return append(b, '\n')
 }
 
 // skipBeats are the recorder heartbeat intervals the differential test
@@ -128,8 +119,8 @@ var skipBeats = []uint64{500, 997, obs.DefaultInterval}
 // and the calibrated presets, with warm-up and with top-down accounting
 // off and on, the skipping loop and the reference stepper produce the
 // same digest and the same top-down report — with no recorder, and with
-// a sink-less recorder attached after warm-up, whose event counts,
-// interval rows and metrics must match too. Each arch × kernel pair runs
+// a sink-less recorder attached after warm-up, whose interval rows,
+// snapshots and metrics must match too. Each arch × kernel pair runs
 // one heartbeat interval, rotating through skipBeats so that every
 // architecture and every kernel meets each of them.
 func TestSkipMatchesStepper(t *testing.T) {

@@ -123,9 +123,6 @@ func MustNew(cfg Config) *Renamer {
 	return r
 }
 
-// NumPhysRegs returns the total physical register count.
-func (r *Renamer) NumPhysRegs() int { return len(r.pscb) }
-
 // FreeCount returns the free physical registers in (int, fp) pools.
 func (r *Renamer) FreeCount() (int, int) { return len(r.freeInt), len(r.freeFp) }
 
@@ -135,18 +132,6 @@ func (r *Renamer) Lookup(a isa.Reg) PhysReg {
 		return PhysNone
 	}
 	return r.rat[a]
-}
-
-// CanRename reports whether a destination of the given kind can be renamed
-// right now (a free physical register exists).
-func (r *Renamer) CanRename(dst isa.Reg) bool {
-	if !dst.Valid() {
-		return true
-	}
-	if dst.IsFP() {
-		return len(r.freeFp) > 0
-	}
-	return len(r.freeInt) > 0
 }
 
 // Entry is the recovery log record for one renamed μop, to be stored in its

@@ -48,11 +48,9 @@ type UOp struct {
 	// Memory dependence prediction state (loads and stores).
 	SSID    int32
 	MDPWait uint64 // dynamic seq of the store to wait for; mdp.NoStore if none
-	// MDPBlockedSince is the first cycle this μop was refused issue due to
-	// its predicted memory dependence (0 = never refused). Clustered
-	// in-order schedulers can deadlock through cross-queue MDP waits; the
-	// pipeline breaks the cycle by letting the wait time out into a
-	// speculative issue, relying on violation replay for correctness.
+	// MDPBlockedSince is the first cycle its predicted memory dependence
+	// refused this μop issue (0 = never refused), which the deadlock
+	// autopsy reports.
 	MDPBlockedSince uint64
 
 	// ROB slot, owned by the pipeline.
@@ -249,6 +247,13 @@ type Probe func(kind ProbeKind, cycle, seq uint64, arg int)
 // through a Probe. SetProbe(nil) detaches.
 type Probed interface {
 	SetProbe(Probe)
+}
+
+// Sharer is implemented by schedulers with P-IQ sharing mode (§III-C):
+// PIQShares counts the μops allocated into a shared P-IQ partition since
+// the scheduler was built.
+type Sharer interface {
+	PIQShares() uint64
 }
 
 // portMask tracks per-cycle issue-port grants without allocating. Ports

@@ -36,9 +36,10 @@ func (d DelayBreakdown) Total() float64 {
 
 // Sim aggregates the counters of one simulation run.
 type Sim struct {
-	Cycles    uint64
-	Committed uint64
-	Fetched   uint64
+	Cycles     uint64
+	Committed  uint64
+	Fetched    uint64
+	Dispatched uint64 // μops the scheduler accepted
 
 	Branches      uint64
 	Mispredicts   uint64

@@ -64,36 +64,18 @@ func (sp JobSpec) Config() ballerino.Config {
 }
 
 // lower resolves the spec to its runnable config: when TraceFile is set,
-// the trace is imported — through tc when non-nil, so a server shares one
-// decode across jobs — and its workload identity overlaid on the config.
+// the trace is imported through tc, so a server shares one decode across
+// jobs, and its workload identity overlaid on the config.
 func (sp JobSpec) lower(ctx context.Context, tc *ballerino.TraceCache) (ballerino.Config, error) {
 	cfg := sp.Config()
 	if sp.TraceFile == "" {
 		return cfg, nil
 	}
-	var t *ballerino.Trace
-	var err error
-	if tc != nil {
-		t, err = tc.Import(ctx, sp.TraceFile)
-	} else {
-		t, err = ballerino.ImportTrace(sp.TraceFile)
-	}
+	t, err := tc.Import(ctx, sp.TraceFile)
 	if err != nil {
 		return cfg, err
 	}
 	return t.Configure(cfg), nil
-}
-
-// Key returns the spec's config+trace content key — the identity the
-// durable store addresses completed results by. JobSpec cannot express a
-// custom program, so the key always exists for a valid spec (for a
-// TraceFile spec, provided the file is readable).
-func (sp JobSpec) Key() (string, error) {
-	cfg, err := sp.lower(context.Background(), nil)
-	if err != nil {
-		return "", err
-	}
-	return cfg.ContentKey()
 }
 
 // JobState is a job's lifecycle phase.
@@ -279,105 +261,69 @@ type liveJob struct {
 	arch     string
 	workload string
 
-	mu        sync.Mutex
-	last      obs.Interval
-	intervals int
-	// shareRate is the fraction of dispatched μops that allocated into a
-	// shared P-IQ partition, from the recorder's event counts.
-	shareRate float64
-	// Cumulative counters: sums of the interval deltas, which by the
-	// recorder's contract equal the end-of-run statistics once the final
-	// (partial) interval lands.
-	cycles, committed, fetched, issued   uint64
-	flushes, squashed, stalls            uint64
-	mispredicts, violations              uint64
-	topdown                              [topdown.NumCategories]uint64
-	topdownOn                            bool
-	dump                                 *obs.MetricsDump
-	done                                 bool
-	finalIPC, finalEnergyPJ, finalOccAvg float64
+	mu sync.Mutex
+	// start and last are the recorder's snapshots at the start of the
+	// measured region and at the last heartbeat. Every cumulative gauge is
+	// their difference, which after the final (partial) interval equals
+	// the end-of-run statistics by the recorder's contract.
+	start, last obs.Snapshot
+	iv          obs.Interval // the last heartbeat interval
+	intervals   int
+	dump        *obs.MetricsDump
+	done        bool
 }
 
 func newLiveJob(j *Job) *liveJob {
 	return &liveJob{jobID: j.ID, arch: j.Spec.Arch, workload: j.Spec.Workload}
 }
 
-// observe folds one heartbeat interval into the live state, with the
-// registry dump and P-IQ share rate read from the attempt's recorder.
-// Runs on the simulation goroutine, where reading rec is safe by the
-// recorder's single-threaded contract.
+// observe records one heartbeat interval, with the snapshots and registry
+// dump read from the attempt's recorder. Runs on the simulation
+// goroutine, where reading rec is safe by the recorder's single-threaded
+// contract.
 func (l *liveJob) observe(iv obs.Interval, rec *obs.Recorder) {
 	dump := rec.Registry().Dump()
-	rate := 0.0
-	if d := rec.EventCount(obs.KindDispatch); d > 0 {
-		rate = float64(rec.EventCount(obs.KindPIQShare)) / float64(d)
-	}
+	start, last := rec.Snapshots()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.last = iv
+	l.start, l.last, l.iv = start, last, iv
 	l.intervals++
-	l.shareRate = rate
-	l.cycles += iv.EndCycle - iv.StartCycle
-	l.committed += iv.Committed
-	l.fetched += iv.Fetched
-	l.issued += iv.Issued
-	l.flushes += iv.Flushes
-	l.squashed += iv.Squashed
-	l.stalls += iv.DispatchStalls
-	l.mispredicts += iv.Mispredicts
-	l.violations += iv.Violations
-	if len(iv.Topdown) == len(l.topdown) {
-		l.topdownOn = true
-		for i, v := range iv.Topdown {
-			l.topdown[i] += v
-		}
-	}
 	l.dump = dump
 }
 
-// reset clears the accumulated state before a retry attempt re-runs the
-// job, so its gauges do not double-count across attempts.
+// reset clears the live state before a retry attempt re-runs the job, so
+// its gauges never mix two attempts.
 func (l *liveJob) reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.last = obs.Interval{}
+	l.start, l.last, l.iv = obs.Snapshot{}, obs.Snapshot{}, obs.Interval{}
 	l.intervals = 0
-	l.shareRate = 0
-	l.cycles, l.committed, l.fetched, l.issued = 0, 0, 0, 0
-	l.flushes, l.squashed, l.stalls = 0, 0, 0
-	l.mispredicts, l.violations = 0, 0
-	l.topdown = [topdown.NumCategories]uint64{}
-	l.topdownOn = false
 	l.dump = nil
 	l.done = false
-	l.finalIPC, l.finalEnergyPJ, l.finalOccAvg = 0, 0, 0
 }
 
-// finish pins the live state to the run manifest, so the gauges exposed
-// after completion are exactly the manifest's final statistics (including
-// the scheduler counters folded in by FinalizeSched, which no heartbeat
-// ever sees).
+// finish marks the gauges final and pins the registry dump to the run
+// manifest's, which includes the scheduler counters FinalizeSched folds
+// in after the last heartbeat.
 func (l *liveJob) finish(m *obs.Manifest) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.done = true
-	l.cycles = m.Stats.Cycles
-	l.committed = m.Stats.Committed
-	l.fetched = m.Stats.Fetched
-	l.issued = m.Stats.Issued
-	l.flushes = m.Stats.Flushes
-	l.squashed = m.Stats.Squashed
-	l.stalls = m.Stats.DispatchStalls
-	l.mispredicts = m.Stats.Mispredicts
-	l.violations = m.Stats.Violations
-	l.finalIPC = m.Stats.IPC
-	l.finalEnergyPJ = m.Energy.TotalPJ
-	l.finalOccAvg = m.Stats.AvgOccupancy
-	if m.Topdown != nil {
-		l.topdown = m.Topdown.Counts
-		l.topdownOn = true
-	}
 	l.dump = m.Metrics
+}
+
+// measured returns the measured region up to the last heartbeat. The
+// caller holds mu.
+func (l *liveJob) measured() obs.Interval { return l.last.Delta(l.start) }
+
+// shareRate is the fraction of the measured region's dispatched μops that
+// allocated into a shared P-IQ partition. The caller holds mu.
+func (l *liveJob) shareRate() float64 {
+	d := l.last.Dispatched - l.start.Dispatched
+	if d == 0 {
+		return 0
+	}
+	return float64(l.last.PIQShares-l.start.PIQShares) / float64(d)
 }
 
 func (l *liveJob) intervalCount() int {
@@ -386,17 +332,19 @@ func (l *liveJob) intervalCount() int {
 	return l.intervals
 }
 
-// topdownView returns a name-keyed copy of the accumulated per-category
-// issue-slot counters, or nil when the job runs without cycle accounting.
+// topdownView returns a name-keyed copy of the measured region's
+// per-category issue-slot counters, or nil when the job runs without
+// cycle accounting.
 func (l *liveJob) topdownView() map[string]uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.topdownOn {
+	slots := l.measured().Topdown
+	if slots == nil {
 		return nil
 	}
-	m := make(map[string]uint64, len(l.topdown))
+	m := make(map[string]uint64, len(slots))
 	for i, name := range topdown.Names() {
-		m[name] = l.topdown[i]
+		m[name] = slots[i]
 	}
 	return m
 }

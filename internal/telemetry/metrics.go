@@ -85,41 +85,36 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			"workload": live.workload,
 		}
 		live.mu.Lock()
-		ipc := 0.0
-		if live.done {
-			ipc = live.finalIPC
-		} else if live.cycles > 0 {
-			ipc = float64(live.committed) / float64(live.cycles)
-		}
+		m := live.measured()
 		for _, g := range []gauge{
-			{"ballserved_job_ipc", "Committed μops per cycle (final value once the job is done).", ipc},
-			{"ballserved_job_interval_ipc", "IPC of the most recent heartbeat interval.", live.last.IPC()},
-			{"ballserved_job_cycles", "Simulated cycles in the measured region.", float64(live.cycles)},
-			{"ballserved_job_committed", "Committed μops.", float64(live.committed)},
-			{"ballserved_job_fetched", "Fetched μops.", float64(live.fetched)},
-			{"ballserved_job_issued", "Issued μops.", float64(live.issued)},
-			{"ballserved_job_flushes", "Pipeline flushes.", float64(live.flushes)},
-			{"ballserved_job_squashed", "Squashed μops.", float64(live.squashed)},
-			{"ballserved_job_dispatch_stalls", "Dispatch stall cycles.", float64(live.stalls)},
-			{"ballserved_job_mispredicts", "Branch mispredicts.", float64(live.mispredicts)},
-			{"ballserved_job_violations", "Memory order violations.", float64(live.violations)},
-			{"ballserved_job_sched_occupancy", "Scheduler occupancy at the last heartbeat.", float64(live.last.SchedOccupancy)},
-			{"ballserved_job_lq_pressure", "Load-queue entries at the last heartbeat.", float64(live.last.LQ)},
-			{"ballserved_job_sq_pressure", "Store-queue entries at the last heartbeat.", float64(live.last.SQ)},
-			{"ballserved_job_piq_share_rate", "Fraction of dispatched μops allocated into a shared P-IQ partition.", live.shareRate},
+			{"ballserved_job_ipc", "Committed μops per cycle (final value once the job is done).", m.IPC()},
+			{"ballserved_job_interval_ipc", "IPC of the most recent heartbeat interval.", live.iv.IPC()},
+			{"ballserved_job_cycles", "Simulated cycles in the measured region.", float64(m.EndCycle - m.StartCycle)},
+			{"ballserved_job_committed", "Committed μops.", float64(m.Committed)},
+			{"ballserved_job_fetched", "Fetched μops.", float64(m.Fetched)},
+			{"ballserved_job_issued", "Issued μops.", float64(m.Issued)},
+			{"ballserved_job_flushes", "Pipeline flushes.", float64(m.Flushes)},
+			{"ballserved_job_squashed", "Squashed μops.", float64(m.Squashed)},
+			{"ballserved_job_dispatch_stalls", "Dispatch stall cycles.", float64(m.DispatchStalls)},
+			{"ballserved_job_mispredicts", "Branch mispredicts.", float64(m.Mispredicts)},
+			{"ballserved_job_violations", "Memory order violations.", float64(m.Violations)},
+			{"ballserved_job_sched_occupancy", "Scheduler occupancy at the last heartbeat.", float64(m.SchedOccupancy)},
+			{"ballserved_job_lq_pressure", "Load-queue entries at the last heartbeat.", float64(m.LQ)},
+			{"ballserved_job_sq_pressure", "Store-queue entries at the last heartbeat.", float64(m.SQ)},
+			{"ballserved_job_piq_share_rate", "Fraction of dispatched μops allocated into a shared P-IQ partition.", live.shareRate()},
 			{"ballserved_job_intervals", "Heartbeat intervals observed.", float64(live.intervals)},
 			{"ballserved_job_done", "1 once the job reached a terminal state and the gauges are final.", b2f(live.done)},
 		} {
 			x.Gauge(g.name, g.help, labels, g.value)
 		}
-		if live.topdownOn {
+		if m.Topdown != nil {
 			// Per-category issue-slot attribution of the live job: the
 			// series sum to width × cycles by the engine's conservation
 			// invariant, so `category / sum` is directly the slot share.
 			for i, cat := range topdown.Names() {
 				x.Counter("ballerino_topdown_slots_total", "Issue slots attributed to each top-down category.",
 					obs.PromLabels{"arch": live.arch, "category": cat, "job": labels["job"], "workload": live.workload},
-					live.topdown[i])
+					m.Topdown[i])
 			}
 		}
 		dump = live.dump

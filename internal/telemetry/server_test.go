@@ -695,28 +695,37 @@ func (c *countSink) Close() error          { return nil }
 // ballserved_job_piq_share_rate = shares ÷ dispatches, exactly as a
 // counting sink sees them on the same config run through RunContext. The
 // reference run's recorder has a sink, so its cycle loop steps every
-// cycle; the served job's recorder has none, so its loop skips quiet
-// cycles and replays their events (pipeline.stretch).
+// cycle and emits every event; the served job's recorder has none, so
+// its loop skips quiet cycles and the gauge reads the two counts from the
+// recorder's start and last snapshots. The warm-up input holds the gauge
+// to the measured region: the scheduler's share count includes warm-up,
+// the sink's does not.
 func TestShareRateGauge(t *testing.T) {
-	s, ts := newTestServer(t)
-	spec := JobSpec{Arch: "Ballerino", Workload: "store-load", Ops: 10_000}
-	v := submitJob(t, ts, spec)
-	if m := waitForState(t, s, v.ID, JobDone).Manifest(); m.SchedCounters["share_activates"] == 0 {
-		t.Fatal("job never activated P-IQ sharing; the test needs a kernel that does")
-	}
-	got := scrape(t, ts)["ballserved_job_piq_share_rate"]
+	for _, spec := range []JobSpec{
+		{Arch: "Ballerino", Workload: "store-load", Ops: 10_000},
+		{Arch: "Ballerino", Workload: "store-load", Ops: 10_000, WarmupOps: 3_000},
+	} {
+		t.Run(fmt.Sprintf("warmup=%d", spec.WarmupOps), func(t *testing.T) {
+			s, ts := newTestServer(t)
+			v := submitJob(t, ts, spec)
+			if m := waitForState(t, s, v.ID, JobDone).Manifest(); m.SchedCounters["share_activates"] == 0 {
+				t.Fatal("job never activated P-IQ sharing; the test needs a kernel that does")
+			}
+			got := scrape(t, ts)["ballserved_job_piq_share_rate"]
 
-	var c countSink
-	cfg := spec.Config()
-	cfg.Recorder = obs.NewRecorder(0, &c)
-	if _, err := ballerino.RunContext(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if c.shares == 0 {
-		t.Fatal("reference run emitted no P-IQ share events")
-	}
-	if want := float64(c.shares) / float64(c.dispatches); got != want {
-		t.Errorf("share rate gauge = %v, want %d/%d = %v", got, c.shares, c.dispatches, want)
+			var c countSink
+			cfg := spec.Config()
+			cfg.Recorder = obs.NewRecorder(0, &c)
+			if _, err := ballerino.RunContext(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if c.shares == 0 {
+				t.Fatal("reference run emitted no P-IQ share events")
+			}
+			if want := float64(c.shares) / float64(c.dispatches); got != want {
+				t.Errorf("share rate gauge = %v, want %d/%d = %v", got, c.shares, c.dispatches, want)
+			}
+		})
 	}
 }
 
@@ -730,12 +739,10 @@ func TestShareRateResetOnRetry(t *testing.T) {
 	defer ts.Close()
 
 	rec := obs.NewRecorder(0)
-	for seq := uint64(0); seq < 4; seq++ {
-		rec.Emit(obs.Event{Kind: obs.KindDispatch, Seq: seq})
-	}
-	rec.Emit(obs.Event{Kind: obs.KindPIQShare, Seq: 3})
+	rec.Start(obs.Snapshot{Cycle: 50, PIQShares: 2}) // shares made in warm-up
+	rec.Heartbeat(obs.Snapshot{Cycle: 100, Dispatched: 4, PIQShares: 3})
 	live := newLiveJob(&Job{ID: 1, Spec: JobSpec{Arch: "Ballerino", Workload: "store-load"}})
-	live.observe(obs.Interval{EndCycle: 100}, rec)
+	live.observe(obs.Interval{StartCycle: 50, EndCycle: 100}, rec)
 	s.mu.Lock()
 	s.live = live
 	s.mu.Unlock()

@@ -70,8 +70,9 @@ type Config struct {
 	DVFS string
 	// MaxCycles aborts a stuck simulation (default 100× MaxOps).
 	MaxCycles uint64
-	// Audit enables the self-verification machinery: the per-cycle
-	// invariant auditor (internal/check) and the golden-model cross-check
+	// Audit enables the self-verification machinery: the invariant
+	// auditor (internal/check), run at every stepped cycle and once per
+	// jump over quiet cycles, and the golden-model cross-check
 	// that replays the committed μop stream through an independent
 	// functional executor. Violations abort the run with a *SimError
 	// carrying a machine-state autopsy.
@@ -301,8 +302,10 @@ type Result struct {
 	// (steering outcomes, issue sources, sharing activations, ...).
 	SchedCounters map[string]uint64
 
-	// AuditChecks is the number of per-cycle invariant audits that ran
-	// (0 unless Config.Audit was set).
+	// AuditChecks is the number of invariant audits that ran, one per
+	// stepped cycle, warm-up included (0 unless Config.Audit was set).
+	// Quiet cycles a jump closes are covered by the audit of the cycle
+	// it starts from.
 	AuditChecks uint64
 	// GoldenOps is the number of committed μops replayed and verified by
 	// the golden-model executor (0 unless Config.Audit was set).

@@ -50,8 +50,9 @@ func (b *Batch) FirstErr() error {
 }
 
 // RunAll executes every configuration as one campaign on a bounded worker
-// pool: the parallel substrate under cmd/sweep, cmd/experiments,
-// internal/bench and the telemetry service. Guarantees:
+// pool: the parallel substrate under cmd/sweep, cmd/experiments and
+// internal/bench. (The telemetry service runs each job on its own, through
+// TraceCache.Prepare and RunContext.) Guarantees:
 //
 //   - Results[i] always belongs to cfgs[i], whatever order runs finish in.
 //   - Runs are deterministic and independent: a campaign at parallelism N

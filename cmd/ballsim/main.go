@@ -48,7 +48,7 @@ func run() int {
 		depth   = flag.Int("piq-depth", 0, "override P-IQ depth (0 = Table II)")
 		noMDP   = flag.Bool("no-mdp", false, "disable memory dependence prediction")
 		dvfs    = flag.String("dvfs", "L4", "operating point L1..L4")
-		audit   = flag.Bool("audit", false, "verify simulation invariants every cycle and cross-check commits against the golden model")
+		audit   = flag.Bool("audit", false, "verify simulation invariants at every stepped cycle (a jump over quiet cycles is checked once) and cross-check commits against the golden model")
 		topdown = flag.Bool("topdown", false, "attribute every issue slot to a CPI-stack category and print the top-down breakdown")
 		inject  = flag.String("inject", "", "inject deterministic timing faults, e.g. seed=1,jitter=8,flush=2000,squeeze=50,mdp=100")
 		list    = flag.Bool("list", false, "list architectures and workloads")
@@ -216,7 +216,7 @@ func run() int {
 	fmt.Printf("  mispredict  %.2f%%\n", 100*res.MispredictRate)
 	fmt.Printf("  violations  %d (flushes %d)\n", res.Violations, res.Flushes)
 	if res.AuditChecks > 0 {
-		fmt.Printf("  audit       %d cycle checks, %d μops golden-verified, 0 violations\n",
+		fmt.Printf("  audit       %d checks (one per stepped cycle), %d μops golden-verified, 0 violations\n",
 			res.AuditChecks, res.GoldenOps)
 	}
 	if res.InjectedFaults != nil {

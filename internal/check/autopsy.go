@@ -158,14 +158,12 @@ func Collect(s Source) *Autopsy {
 		}
 	}
 
-	if insp, ok := s.Scheduler().(sched.Inspector); ok {
-		for _, q := range insp.Queues() {
-			qs := QueueState{Name: q.Name, Occupancy: len(q.Seqs), Cap: q.Cap}
-			if len(q.Seqs) > 0 {
-				qs.HeadSeq = q.Seqs[0]
-			}
-			a.Queues = append(a.Queues, qs)
+	for _, q := range s.Scheduler().Queues() {
+		qs := QueueState{Name: q.Name, Occupancy: len(q.Seqs), Cap: q.Cap}
+		if len(q.Seqs) > 0 {
+			qs.HeadSeq = q.Seqs[0]
 		}
+		a.Queues = append(a.Queues, qs)
 	}
 
 	// Outstanding memory dependence waits among in-flight memory μops.

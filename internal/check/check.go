@@ -1,7 +1,12 @@
-// Package check is the simulation self-verification subsystem: a per-cycle
+// Package check is the simulation self-verification subsystem: an
 // invariant auditor over the pipeline's architectural bookkeeping and a
 // deadlock autopsy collector that turns a wedged simulation into an
 // actionable structured report instead of a bare cycle-count error.
+//
+// The pipeline audits at every tick: each cycle it steps, and once for
+// each jump over quiet cycles. Nothing the auditor reads can change inside
+// a jump — a quiet cycle moves no μop, and a jump ends at the next
+// completion — so every cycle's machine state is covered.
 //
 // The auditor proves, while the simulation runs, that the properties the
 // paper's complexity-effectiveness claim rests on actually hold:
@@ -10,7 +15,7 @@
 //     program order, and μops commit in exactly that order, exactly once.
 //   - No lost μop: every fetched μop is either committed, squashed by a
 //     flush, or still in flight — fetched = committed + squashed + ROB +
-//     decode queue, every cycle.
+//     decode queue, at every tick.
 //   - Queue discipline: every in-order scheduler queue (S-IQ, P-IQ
 //     partitions, CASINO cascade stages, InO scoreboard FIFO) holds μops in
 //     ascending program order, within capacity, and the per-queue totals
@@ -28,11 +33,11 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lsq"
 	"repro/internal/rename"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // Source is the pipeline-introspection surface the auditor and the autopsy
@@ -52,14 +57,9 @@ type Source interface {
 	Scheduler() sched.Scheduler
 	LSQ() *lsq.Queues
 	Renamer() *rename.Renamer
-	Stats() *stats.Sim
-}
-
-// TopdownSource is the optional extension of Source implemented by
-// pipelines that carry a top-down cycle-accounting engine. The auditor
-// verifies the slot conservation invariant — blamed slots must equal
-// issue width × accounted cycles — every audited cycle when on is true.
-type TopdownSource interface {
+	// TopdownConservation reports the top-down engine's blamed slots and
+	// issue width × accounted cycles; on is false when no engine is
+	// attached. The auditor requires got == want while on.
 	TopdownConservation() (got, want uint64, on bool)
 }
 
@@ -97,30 +97,26 @@ func (e *DeadlockError) Error() string {
 }
 
 // Auditor verifies the simulation invariants. Create one with NewAuditor
-// and call Check once per cycle (the pipeline does this when auditing is
-// enabled) and ObserveCommit for every committed μop.
+// and call Check at the end of every cycle the pipeline steps (it does
+// this when auditing is enabled) and ObserveCommit for every committed
+// μop.
 type Auditor struct {
 	nextCommit uint64 // expected next commit sequence number
 	checks     uint64 // Check invocations
 
-	// scratch, reused across cycles to stay allocation-free in steady
-	// state.
-	robSeqs   map[uint64]int  // seq → ROB index
-	producers map[int32]int   // physical register → ROB index of producer
-	buffered  map[uint64]bool // seq → seen in a scheduler queue
+	// scratch, reused across checks to stay allocation-free in steady
+	// state. Once rob-order holds, seqs is ascending, so a binary search
+	// maps a seq to its ROB index.
+	seqs      []uint64 // ROB index → seq
+	producers []int    // physical register → 1 + ROB index of its producer (0: none)
+	buffered  []bool   // ROB index → seen in a scheduler queue
 }
 
 // NewAuditor returns an auditor expecting the commit stream to start at
 // sequence number 0.
-func NewAuditor() *Auditor {
-	return &Auditor{
-		robSeqs:   make(map[uint64]int, 256),
-		producers: make(map[int32]int, 256),
-		buffered:  make(map[uint64]bool, 256),
-	}
-}
+func NewAuditor() *Auditor { return &Auditor{} }
 
-// Checks returns how many per-cycle audits have run.
+// Checks returns how many audits have run.
 func (a *Auditor) Checks() uint64 { return a.checks }
 
 // ObserveCommit verifies the commit stream: μops must commit in exactly
@@ -149,8 +145,10 @@ func (a *Auditor) ObserveCommit(u *sched.UOp) error {
 	return nil
 }
 
-// Check audits the machine state at the end of one cycle. It returns nil
-// when every invariant holds, or the first ViolationError found.
+// Check audits the machine state at the end of one cycle; when the
+// pipeline then jumps over quiet cycles, this one check covers them too,
+// as their state is the same. It returns nil when every invariant holds,
+// or the first ViolationError found.
 func (a *Auditor) Check(s Source) error {
 	a.checks++
 	cycle := s.Cycle()
@@ -160,10 +158,9 @@ func (a *Auditor) Check(s Source) error {
 	}
 
 	// --- ROB order, liveness, timing sanity, producer table ---
-	clear(a.robSeqs)
+	a.seqs = a.seqs[:0]
 	clear(a.producers)
 	n := s.ROBLen()
-	lastSeq := uint64(0)
 	unissued := 0
 	for i := 0; i < n; i++ {
 		u := s.ROBEntry(i)
@@ -173,13 +170,15 @@ func (a *Auditor) Check(s Source) error {
 		if u.Squashed {
 			return fail("rob-order", "squashed μop seq %d still in ROB at index %d", u.Seq(), i)
 		}
-		if i > 0 && u.Seq() <= lastSeq {
-			return fail("rob-order", "ROB index %d holds seq %d after seq %d (program order broken)", i, u.Seq(), lastSeq)
+		if i > 0 && u.Seq() <= a.seqs[i-1] {
+			return fail("rob-order", "ROB index %d holds seq %d after seq %d (program order broken)", i, u.Seq(), a.seqs[i-1])
 		}
-		lastSeq = u.Seq()
-		a.robSeqs[u.Seq()] = i
-		if u.Dst != rename.PhysNone {
-			a.producers[int32(u.Dst)] = i
+		a.seqs = append(a.seqs, u.Seq())
+		if d := int(u.Dst); d >= 0 {
+			if d >= len(a.producers) {
+				a.producers = append(a.producers, make([]int, d+1-len(a.producers))...)
+			}
+			a.producers[d] = i + 1
 		}
 		if u.Issued {
 			if u.IssueCycle < u.DispatchCycle || u.CompleteCycle <= u.IssueCycle {
@@ -205,39 +204,37 @@ func (a *Auditor) Check(s Source) error {
 	}
 
 	// --- Scheduler queue discipline and residency ---
-	if insp, ok := s.Scheduler().(sched.Inspector); ok {
-		clear(a.buffered)
-		total := 0
-		for _, q := range insp.Queues() {
-			if q.Cap > 0 && len(q.Seqs) > q.Cap {
-				return fail("queue-capacity", "%s holds %d μops, capacity %d", q.Name, len(q.Seqs), q.Cap)
+	a.buffered = append(a.buffered[:0], make([]bool, n)...)
+	total := 0
+	for _, q := range s.Scheduler().Queues() {
+		if q.Cap > 0 && len(q.Seqs) > q.Cap {
+			return fail("queue-capacity", "%s holds %d μops, capacity %d", q.Name, len(q.Seqs), q.Cap)
+		}
+		prev := uint64(0)
+		for i, seq := range q.Seqs {
+			if q.FIFO && i > 0 && seq <= prev {
+				return fail("queue-fifo", "%s: seq %d follows seq %d (FIFO discipline broken)", q.Name, seq, prev)
 			}
-			prev := uint64(0)
-			for i, seq := range q.Seqs {
-				if q.FIFO && i > 0 && seq <= prev {
-					return fail("queue-fifo", "%s: seq %d follows seq %d (FIFO discipline broken)", q.Name, seq, prev)
-				}
-				prev = seq
-				ri, live := a.robSeqs[seq]
-				if !live {
-					return fail("queue-residency", "%s buffers seq %d which is not a live ROB entry", q.Name, seq)
-				}
-				if s.ROBEntry(ri).Issued {
-					return fail("queue-residency", "%s buffers seq %d which has already issued", q.Name, seq)
-				}
-				if a.buffered[seq] {
-					return fail("queue-residency", "seq %d buffered in more than one scheduler queue", seq)
-				}
-				a.buffered[seq] = true
+			prev = seq
+			ri, live := slices.BinarySearch(a.seqs, seq)
+			if !live {
+				return fail("queue-residency", "%s buffers seq %d which is not a live ROB entry", q.Name, seq)
 			}
-			total += len(q.Seqs)
+			if s.ROBEntry(ri).Issued {
+				return fail("queue-residency", "%s buffers seq %d which has already issued", q.Name, seq)
+			}
+			if a.buffered[ri] {
+				return fail("queue-residency", "seq %d buffered in more than one scheduler queue", seq)
+			}
+			a.buffered[ri] = true
 		}
-		if occ := s.Scheduler().Occupancy(); total != occ {
-			return fail("queue-residency", "scheduler reports occupancy %d but queues hold %d μops", occ, total)
-		}
-		if total != unissued {
-			return fail("queue-residency", "%d unissued ROB μops but %d buffered in scheduler queues (lost or duplicated entry)", unissued, total)
-		}
+		total += len(q.Seqs)
+	}
+	if occ := s.Scheduler().Occupancy(); total != occ {
+		return fail("queue-residency", "scheduler reports occupancy %d but queues hold %d μops", occ, total)
+	}
+	if total != unissued {
+		return fail("queue-residency", "%d unissued ROB μops but %d buffered in scheduler queues (lost or duplicated entry)", unissued, total)
 	}
 
 	// --- LQ/SQ age order and residency ---
@@ -252,7 +249,7 @@ func (a *Auditor) Check(s Source) error {
 				return fail("lsq-order", "%s: seq %d follows seq %d (age order broken)", name, u.Seq(), prev)
 			}
 			prev = u.Seq()
-			if _, live := a.robSeqs[u.Seq()]; !live {
+			if _, live := slices.BinarySearch(a.seqs, u.Seq()); !live {
 				return fail("lsq-order", "%s entry seq %d is not a live ROB entry", name, u.Seq())
 			}
 		}
@@ -262,11 +259,9 @@ func (a *Auditor) Check(s Source) error {
 	}
 
 	// --- Top-down slot conservation: every slot blamed exactly once ---
-	if ts, ok := s.(TopdownSource); ok {
-		if got, want, on := ts.TopdownConservation(); on && got != want {
-			return fail("topdown-conservation", "blamed %d issue slots but width × cycles = %d (Δ=%d)",
-				got, want, int64(got)-int64(want))
-		}
+	if got, want, on := s.TopdownConservation(); on && got != want {
+		return fail("topdown-conservation", "blamed %d issue slots but width × cycles = %d (Δ=%d)",
+			got, want, int64(got)-int64(want))
 	}
 
 	// --- Register readiness: unready sources need an in-flight producer ---
@@ -280,11 +275,10 @@ func (a *Auditor) Check(s Source) error {
 			if src == rename.PhysNone || rn.Ready(src, cycle) {
 				continue
 			}
-			pi, ok := a.producers[int32(src)]
-			if !ok {
+			if int(src) >= len(a.producers) || a.producers[src] == 0 {
 				return fail("readiness", "seq %d waits on p%d which has no in-flight producer (lost wakeup)", u.Seq(), src)
 			}
-			p := s.ROBEntry(pi)
+			p := s.ROBEntry(a.producers[src] - 1)
 			if p.Seq() >= u.Seq() {
 				return fail("readiness", "seq %d waits on p%d produced by younger seq %d", u.Seq(), src, p.Seq())
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lsq"
 	"repro/internal/rename"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // fakeSched is a scriptable scheduler whose queue snapshots the tests
@@ -42,7 +41,6 @@ type fakeSource struct {
 	sch                          *fakeSched
 	q                            *lsq.Queues
 	rn                           *rename.Renamer
-	st                           stats.Sim
 }
 
 func (f *fakeSource) Cycle() uint64              { return f.cycle }
@@ -54,7 +52,9 @@ func (f *fakeSource) TraceLen() int              { return f.traceLen }
 func (f *fakeSource) Scheduler() sched.Scheduler { return f.sch }
 func (f *fakeSource) LSQ() *lsq.Queues           { return f.q }
 func (f *fakeSource) Renamer() *rename.Renamer   { return f.rn }
-func (f *fakeSource) Stats() *stats.Sim          { return &f.st }
+func (f *fakeSource) TopdownConservation() (uint64, uint64, bool) {
+	return 0, 0, false
+}
 func (f *fakeSource) Totals() (uint64, uint64, uint64) {
 	return f.fetched, f.committed, f.squashed
 }
@@ -187,6 +187,15 @@ func TestCheckQueueResidency(t *testing.T) {
 	f.sch.occ = 1
 	f.sch.queues[0].Seqs = []uint64{0}
 	wantViolation(t, check.NewAuditor().Check(f), "queue-residency")
+
+	// One μop buffered in two queues.
+	f = consistent(t)
+	f.sch.queues = append(f.sch.queues, sched.QueueSnapshot{Name: "IQ2", FIFO: true, Cap: 4, Seqs: []uint64{1}})
+	err := check.NewAuditor().Check(f)
+	wantViolation(t, err, "queue-residency")
+	if !strings.Contains(err.Error(), "more than one scheduler queue") {
+		t.Fatalf("want a duplicate-residency violation, got %v", err)
+	}
 }
 
 func TestCheckLSQOrder(t *testing.T) {

@@ -447,7 +447,7 @@ func (b *Ballerino) Flush(seq uint64) {
 	}
 }
 
-// Queues implements sched.Inspector: the S-IQ plus every P-IQ partition,
+// Queues implements sched.Scheduler: the S-IQ plus every P-IQ partition,
 // each an in-order FIFO holding one dependence chain.
 func (b *Ballerino) Queues() []sched.QueueSnapshot {
 	siq := make([]uint64, b.siq.Len())

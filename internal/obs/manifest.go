@@ -71,8 +71,8 @@ type EngineInfo struct {
 	SteppedCycles uint64 `json:"stepped_cycles"`
 	SkippedCycles uint64 `json:"skipped_cycles"` // quiet cycles closed by jumps
 	Jumps         uint64 `json:"jumps"`
-	// SteppedFor names what made the loop step every cycle: "sinks",
-	// "audit" or "faults"; empty when it could skip.
+	// SteppedFor names what made the loop step every cycle: "sinks" or
+	// "faults"; empty when it could skip.
 	SteppedFor string `json:"stepped_for,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -69,8 +70,8 @@ var debugCases = []struct {
 }
 
 // TestDebugDiagnostics runs every diagnostic case to completion and dumps
-// its machine-state report; a hang or error additionally dumps the head
-// state of the stalled pipeline.
+// its machine-state report; a hang or error additionally dumps the
+// stalled pipeline's autopsy.
 func TestDebugDiagnostics(t *testing.T) {
 	for _, tc := range debugCases {
 		tc := tc
@@ -84,7 +85,7 @@ func TestDebugDiagnostics(t *testing.T) {
 			if _, err := p.Run(uint64(tc.ops)); err != nil {
 				t.Logf("stats: %s", p.Stats().String())
 				tc.report(t, p)
-				t.Logf("debug: %s", p.DebugState())
+				t.Logf("autopsy: %s", check.Collect(p))
 				t.Fatal(err)
 			}
 			t.Logf("stats: %s", p.Stats().String())

@@ -46,7 +46,7 @@ func TestFuzzSchedulerEquivalence(t *testing.T) {
 			}
 			s, err := p.Run(uint64(len(tr)))
 			if err != nil {
-				t.Fatalf("seed %d %s: %v\n%s", seed, arch, err, p.DebugState())
+				t.Fatalf("seed %d %s: %v", seed, arch, err)
 			}
 			if next != uint64(len(tr)) {
 				t.Fatalf("seed %d %s: committed %d of %d", seed, arch, next, len(tr))
@@ -87,7 +87,7 @@ func TestFuzzReplayDifferential(t *testing.T) {
 				}
 			}
 			if _, err := p.Run(uint64(len(tr))); err != nil {
-				t.Fatalf("seed %d %s: %v\n%s", seed, arch, err, p.DebugState())
+				t.Fatalf("seed %d %s: %v", seed, arch, err)
 			}
 			if replay.Ops() != uint64(len(tr)) {
 				t.Fatalf("seed %d %s: replayed %d of %d μops", seed, arch, replay.Ops(), len(tr))
@@ -179,7 +179,7 @@ func TestFuzzTinyWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := p.Run(uint64(len(tr))); err != nil {
-			t.Fatalf("%s tiny windows: %v\n%s", arch, err, p.DebugState())
+			t.Fatalf("%s tiny windows: %v", arch, err)
 		}
 	}
 }

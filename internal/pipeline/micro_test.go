@@ -23,7 +23,7 @@ func runProgram(t *testing.T, arch config.Arch, p *prog.Program, ops int) (*pipe
 	var committed []*sched.UOp
 	pl.OnCommit = func(u *sched.UOp) { committed = append(committed, u) }
 	if _, err := pl.Run(uint64(len(tr.Ops))); err != nil {
-		t.Fatalf("%v\n%s", err, pl.DebugState())
+		t.Fatal(err)
 	}
 	return pl, committed
 }

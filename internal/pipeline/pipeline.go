@@ -377,7 +377,7 @@ type Pipeline struct {
 	warmupCommits uint64
 
 	// Lifetime μop accounting, immune to the warmup statistics reset;
-	// the auditor's no-lost-μop invariant reconciles these every cycle.
+	// the auditor's no-lost-μop invariant reconciles these at every tick.
 	totFetched   uint64
 	totCommitted uint64
 	totSquashed  uint64
@@ -405,8 +405,8 @@ type Pipeline struct {
 	// charges the stall counters.
 	stall topdown.StallCause
 
-	// audit, when non-nil, verifies the simulation invariants every cycle;
-	// auditErr latches the first violation.
+	// audit, when non-nil, verifies the simulation invariants once per
+	// tick; auditErr latches the first violation.
 	audit    *check.Auditor
 	auditErr error
 
@@ -428,7 +428,7 @@ type Pipeline struct {
 	stats stats.Sim
 
 	// OnCommit, when non-nil, observes every committed μop in commit
-	// order. Used by tests and the figure harnesses.
+	// order: the audit's golden-model replay, and tests.
 	OnCommit func(u *sched.UOp)
 }
 
@@ -535,11 +535,13 @@ func (p *Pipeline) LSQ() *lsq.Queues { return p.lsq }
 
 var _ check.Source = (*Pipeline)(nil)
 
-// EnableAudit attaches a fresh invariant auditor: every cycle's machine
-// state is verified, and every committed μop is checked against the
-// expected commit stream. A violation aborts the run with a
-// *check.ViolationError carrying a machine-state autopsy. Must be called
-// before the first cycle (the auditor expects commit to start at seq 0).
+// EnableAudit attaches a fresh invariant auditor: the machine state is
+// verified at every tick — each stepped cycle, and once for each jump
+// over quiet cycles, which cannot change what the auditor reads — and
+// every committed μop is checked against the expected commit stream. A
+// violation aborts the run with a *check.ViolationError carrying a
+// machine-state autopsy. Must be called before the first cycle (the
+// auditor expects commit to start at seq 0).
 func (p *Pipeline) EnableAudit() *check.Auditor {
 	p.audit = check.NewAuditor()
 	return p.audit
@@ -596,8 +598,8 @@ func (p *Pipeline) AttachTopdown(e *topdown.Engine) {
 // Topdown returns the attached cycle-accounting engine (nil when off).
 func (p *Pipeline) Topdown() *topdown.Engine { return p.td }
 
-// TopdownConservation implements check.TopdownSource: the auditor
-// verifies blamed slots == width × cycles every cycle.
+// TopdownConservation implements check.Source: the auditor verifies
+// blamed slots == width × cycles at every tick.
 func (p *Pipeline) TopdownConservation() (got, want uint64, on bool) {
 	return p.td.Conservation()
 }
@@ -693,25 +695,6 @@ func (p *Pipeline) ObsSnapshot() obs.Snapshot {
 	return s
 }
 
-// DebugState renders a snapshot of the pipeline's head state, used when
-// diagnosing stalls.
-func (p *Pipeline) DebugState() string {
-	nl, ns := p.lsq.Counts()
-	s := fmt.Sprintf("cycle=%d fetchIdx=%d stallUntil=%d decodeQ=%d rob=%d lq=%d sq=%d\n",
-		p.cycle, p.fetchIdx, p.fetchStallUntil, p.decodeQ.n, p.rob.n, nl, ns)
-	if p.rob.n > 0 {
-		u := p.rob.at(0).u
-		s += fmt.Sprintf("rob head: %v issued=%v complete=%d src=%v readyAt=[%d %d] mdpWait=%d cls=%v port=%d\n",
-			u.D, u.Issued, u.CompleteCycle, u.Src,
-			p.rn.ReadyAt(u.Src[0]), p.rn.ReadyAt(u.Src[1]), u.MDPWait, u.Cls, u.Port)
-	}
-	if p.decodeQ.n > 0 {
-		de := p.decodeQ.at(0)
-		s += fmt.Sprintf("decode head: %v renamed=%v\n", de.u.D, de.renamed)
-	}
-	return s
-}
-
 // Warmup simulates until warmupCommits μops commit, then zeroes the
 // timing statistics while keeping all microarchitectural state (caches,
 // predictors, queues) warm — the paper's measurement methodology. Energy
@@ -737,8 +720,8 @@ func (p *Pipeline) WarmupContext(ctx context.Context, warmupCommits uint64) erro
 // Engine reports how the cycle loop covered the measured region: the
 // cycles it stepped, the quiet cycles it closed by jumping over them, the
 // number of jumps, and what attached — if anything — made it step every
-// cycle: "sinks" (a recorder with sinks), "audit" or "faults", the first
-// that applies.
+// cycle: "sinks" (a recorder with sinks) or "faults", the first that
+// applies.
 func (p *Pipeline) Engine() obs.EngineInfo {
 	e := obs.EngineInfo{
 		SteppedCycles: p.cycle - p.warmupCycles - p.skipped,
@@ -748,8 +731,6 @@ func (p *Pipeline) Engine() obs.EngineInfo {
 	switch {
 	case p.events != nil:
 		e.SteppedFor = "sinks"
-	case p.audit != nil:
-		e.SteppedFor = "audit"
 	case p.inj != nil:
 		e.SteppedFor = "faults"
 	}
@@ -842,12 +823,13 @@ func (p *Pipeline) step() {
 // were found not ready, and every quiet cycle up to the next event
 // repeats one of the two.
 //
-// Runs with a recorder that has sinks, the auditor or a fault plan
-// attached keep stepping: sink events, audit checks and injector draws
-// are per cycle. Top-down accounting skips along (topdown.Engine.Repeat),
-// and so does a sink-less recorder, which sees no events.
+// Runs with a recorder that has sinks or a fault plan attached keep
+// stepping: sink events and injector draws are per cycle. Top-down
+// accounting skips along (topdown.Engine.Repeat), and so do a sink-less
+// recorder, which sees no events, and the auditor, which reads only
+// state that a quiet cycle cannot change (see tick).
 func (p *Pipeline) stretch() uint64 {
-	if p.busy || p.stepOnly || p.events != nil || p.audit != nil || p.inj != nil {
+	if p.busy || p.stepOnly || p.events != nil || p.inj != nil {
 		p.quiet = false
 		return 1
 	}
@@ -914,8 +896,10 @@ func (p *Pipeline) nextEvent(wake uint64) uint64 {
 //
 // Recorder heartbeats and the auditor run between the charges and the
 // clock, as they always have. A heartbeat is never due inside a jump
-// (nextEvent ends it there), and the auditor is only ever attached while
-// n is 1.
+// (nextEvent ends it there), and the auditor checks a jump once: the ROB,
+// queues, LSQ and lifetime totals stay fixed through quiet cycles, no
+// ready time or completion falls inside a jump (it ends at the next
+// completion), and top-down conservation is checked after Repeat.
 func (p *Pipeline) tick(n uint64) {
 	occ := p.sched.Occupancy()
 	p.stats.OccupancySum += n * uint64(occ)

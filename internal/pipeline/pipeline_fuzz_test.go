@@ -13,8 +13,9 @@ import (
 // FuzzPipeline is the native fuzz target behind the CI fuzz smoke: a
 // fuzzer-chosen random program runs through a fuzzer-chosen architecture
 // and width with the invariant auditor enabled and — for odd seeds — a
-// deterministic fault campaign injected. Any invariant violation, deadlock
-// or lost μop fails the target. The same trace then runs plainly (no
+// deterministic fault campaign injected (so even seeds audit the skipping
+// loop, odd ones the stepping loop faults force). Any invariant
+// violation, deadlock or lost μop fails the target. The same trace then runs plainly (no
 // auditor, no faults) through the skipping loop and the reference
 // stepper, each with a sink-less recorder on a short heartbeat interval;
 // their digests, interval rows and recorder snapshots must match.

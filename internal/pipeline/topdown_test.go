@@ -11,7 +11,8 @@ import (
 
 // runTopdown simulates one arch × workload pair with cycle accounting and
 // the invariant auditor attached, so the slot-conservation invariant is
-// verified at every single cycle, not just at the end.
+// verified at every stepped cycle and after every jump, not just at the
+// end.
 func runTopdown(t *testing.T, arch config.Arch, wl string, ops int) (*pipeline.Pipeline, *topdown.Engine) {
 	t.Helper()
 	tr := goldenTrace(t, wl)
@@ -35,7 +36,8 @@ func runTopdown(t *testing.T, arch config.Arch, wl string, ops int) (*pipeline.P
 // TestTopdownConservation proves the accounting identity — every issue
 // slot of every cycle blamed exactly once — across the full tier-1 grid:
 // all twelve architectures over the four tier-1 kernels, with the auditor
-// checking the invariant per cycle and the test re-checking the final
+// checking the invariant at every tick (each jump over quiet cycles
+// included, after top-down charges it) and the test re-checking the final
 // totals and the category/stat cross-ties.
 func TestTopdownConservation(t *testing.T) {
 	if testing.Short() {

@@ -193,7 +193,7 @@ func (s *CASINO) Flush(seq uint64) {
 	}
 }
 
-// Queues implements Inspector: each cascade stage is an in-order queue.
+// Queues implements Scheduler: each cascade stage is an in-order queue.
 func (s *CASINO) Queues() []QueueSnapshot {
 	qs := make([]QueueSnapshot, len(s.queues))
 	for i := range s.queues {

@@ -259,7 +259,7 @@ func (s *CES) Flush(seq uint64) {
 	}
 }
 
-// Queues implements Inspector: every P-IQ is an in-order dependence chain.
+// Queues implements Scheduler: every P-IQ is an in-order dependence chain.
 func (s *CES) Queues() []QueueSnapshot {
 	qs := make([]QueueSnapshot, len(s.iqs))
 	for i := range s.iqs {

@@ -149,7 +149,7 @@ func (s *FXA) Flush(seq uint64) {
 	s.backend.Flush(seq)
 }
 
-// Queues implements Inspector: the IXU's in-flight μops (dispatch order,
+// Queues implements Scheduler: the IXU's in-flight μops (dispatch order,
 // but executed by operand arrival — not FIFO discipline) plus the back-end
 // out-of-order IQ.
 func (s *FXA) Queues() []QueueSnapshot {

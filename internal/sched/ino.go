@@ -103,7 +103,7 @@ func (s *InO) Flush(seq uint64) {
 	s.entries.FlushFrom(seq)
 }
 
-// Queues implements Inspector: the single in-order FIFO.
+// Queues implements Scheduler: the single in-order FIFO.
 func (s *InO) Queues() []QueueSnapshot {
 	seqs := make([]uint64, s.entries.Len())
 	for i := range seqs {

@@ -205,7 +205,7 @@ func (s *OoO) Flush(seq uint64) {
 	}
 }
 
-// Queues implements Inspector: one queue. The oldest-first variant lists
+// Queues implements Scheduler: one queue. The oldest-first variant lists
 // it oldest first as a FIFO, so the auditor checks that μops enter in
 // program order; the random queue lists its physical slots in order.
 func (s *OoO) Queues() []QueueSnapshot {

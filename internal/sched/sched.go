@@ -182,6 +182,10 @@ type Scheduler interface {
 	// Counters exposes microarchitecture-specific event counts used by
 	// the figure harnesses (steering outcomes, issue sources, ...).
 	Counters() map[string]uint64
+	// Queues exposes the internal queue state for the invariant auditor
+	// and the deadlock autopsy. The snapshots must cover every buffered
+	// μop exactly once (their total length equals Occupancy()).
+	Queues() []QueueSnapshot
 }
 
 // NoWake is the Wake result of a scheduler that waits only on pipeline
@@ -198,13 +202,6 @@ type QueueSnapshot struct {
 	FIFO bool
 	Cap  int
 	Seqs []uint64
-}
-
-// Inspector is implemented by schedulers that can expose their internal
-// queue state for auditing. The snapshots must cover every buffered μop
-// exactly once (their total length equals Occupancy()).
-type Inspector interface {
-	Queues() []QueueSnapshot
 }
 
 // ProbeKind identifies a scheduler-internal event reported through a

@@ -7,9 +7,10 @@
 //
 //	sum over categories of blamed slots == issue width × accounted cycles
 //
-// The invariant is enforced every cycle by the internal/check auditor
-// (through the pipeline's TopdownConservation surface), so an attribution
-// bug cannot silently skew a CPI stack.
+// The internal/check auditor enforces the invariant at every tick of an
+// audited run (through the pipeline's TopdownConservation), jumps over
+// quiet cycles included, so an attribution bug cannot silently skew a
+// CPI stack.
 //
 // Like internal/obs and internal/span, the engine is zero-cost when off:
 // the pipeline holds a nil *Engine and the issue path keeps its original

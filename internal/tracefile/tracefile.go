@@ -38,9 +38,9 @@
 // outcome. Everything else — opcode, function, condition, operand
 // registers, immediate, next-PC — is reconstructed from the program chunk
 // on import by the constructor the functional interpreter uses. Ops are
-// framed in chunks of OpsPerChunk so both writer and reader stream at
-// constant memory, and every chunk carries its own CRC so corruption is
-// localised to a byte offset. The end chunk seals the file with the total
+// framed in chunks of OpsPerChunk, so Encode holds one chunk's encoding
+// at a time and the reader streams at constant memory, and every chunk
+// carries its own CRC so corruption is localised to a byte offset. The end chunk seals the file with the total
 // op count and an FNV-1a digest of every ops-chunk payload.
 //
 // Versioning policy: the magic never changes; Header.Version is bumped on

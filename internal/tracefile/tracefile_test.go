@@ -270,7 +270,7 @@ func TestVersionSkew(t *testing.T) {
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion, got %v", err)
 	}
-	if _, err := NewWriter(&bytes.Buffer{}, Header{Version: 2}); err == nil {
+	if err := Encode(&bytes.Buffer{}, Header{Version: 2}, testTrace(t, "stream", 100)); err == nil {
 		t.Fatalf("writer accepted a future version")
 	}
 }
@@ -319,27 +319,5 @@ func TestUnknownChunkSkipped(t *testing.T) {
 	spliced[pos+1+1+2] ^= 0xFF
 	if _, err := Decode(bytes.NewReader(spliced)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt unknown chunk: want ErrChecksum, got %v", err)
-	}
-}
-
-// TestWriterOrderEnforced: sections written out of order are rejected.
-func TestWriterOrderEnforced(t *testing.T) {
-	tr := testTrace(t, "stream", 100)
-	w, err := NewWriter(&bytes.Buffer{}, Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteOps(tr.Ops); err == nil {
-		t.Fatalf("ops before program accepted")
-	}
-	w2, _ := NewWriter(&bytes.Buffer{}, Header{})
-	if err := w2.WriteProgram(tr.Program); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.WriteFinal(tr.Final); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.WriteOps(tr.Ops); err == nil {
-		t.Fatalf("ops after final accepted")
 	}
 }

@@ -290,11 +290,12 @@ func TestManifestDefaultPath(t *testing.T) {
 }
 
 // TestManifestEngineCounters: the manifest says how the cycle loop covered
-// the measured region. A plain pointer-chase run, and one whose recorder
-// has no sinks, jump over the DRAM waits; a recorder with sinks, the
-// auditor and a fault plan each make the loop step every cycle and are
+// the measured region. A plain pointer-chase run, one whose recorder has
+// no sinks, and an audited one jump over the DRAM waits; a recorder with
+// sinks and a fault plan each make the loop step every cycle and are
 // named as the reason. Either way stepped and skipped cycles add up to
-// the measured cycles, and the canonical manifest drops the block.
+// the measured cycles, and the canonical manifest drops the block. An
+// audited run without warm-up audits once per stepped cycle.
 func TestManifestEngineCounters(t *testing.T) {
 	dir := t.TempDir()
 	base := ballerino.Config{Arch: "OoO", Workload: "pointer-chase", MaxOps: 800, WarmupOps: 200}
@@ -311,7 +312,8 @@ func TestManifestEngineCounters(t *testing.T) {
 		{"plain", func(*ballerino.Config) {}, ""},
 		{"sink-less recorder", func(c *ballerino.Config) { c.ManifestPath = filepath.Join(dir, "m.json") }, ""},
 		{"trace sink", func(c *ballerino.Config) { c.TracePath = filepath.Join(dir, "t.json") }, "sinks"},
-		{"audit", func(c *ballerino.Config) { c.Audit = true }, "audit"},
+		{"audit", func(c *ballerino.Config) { c.Audit = true }, ""},
+		{"audit, no warm-up", func(c *ballerino.Config) { c.Audit, c.MaxOps, c.WarmupOps = true, 1_000, 0 }, ""},
 		{"fault plan", func(c *ballerino.Config) { c.FaultSpec = "seed=5,jitter=8" }, "faults"},
 	}
 	for _, tc := range cases {
@@ -336,6 +338,11 @@ func TestManifestEngineCounters(t *testing.T) {
 		}
 		if res.Manifest.Canonical().Engine != nil {
 			t.Errorf("%s: canonical manifest keeps the engine block", tc.name)
+		}
+		// Without warm-up every audit closes one stepped cycle: a jump
+		// is audited once, at the cycle it starts from.
+		if cfg.Audit && cfg.WarmupOps == 0 && res.AuditChecks != e.SteppedCycles {
+			t.Errorf("%s: %d audits, want one per stepped cycle (%d)", tc.name, res.AuditChecks, e.SteppedCycles)
 		}
 	}
 }

@@ -1,26 +1,36 @@
 package ballerino
 
 import (
+	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/faults"
 )
 
-// TestAuditCampaign runs every architecture over two contrasting kernels
-// with the full self-verification stack on: per-cycle invariant audits,
-// commit-stream checking and the golden-model replay. Any invariant
+// TestAuditCampaign runs every architecture over every standard kernel
+// with the full self-verification stack on: invariant audits at every
+// tick, commit-stream checking and the golden-model replay. Any invariant
 // violation, deadlock or architectural divergence fails the campaign.
+// Each kernel's trace is generated once and shared by all architectures,
+// as a RunAll grid shares it.
 func TestAuditCampaign(t *testing.T) {
-	for _, arch := range Architectures() {
-		for _, wl := range []string{"stream", "hash-join"} {
-			arch, wl := arch, wl
-			t.Run(arch+"/"+wl, func(t *testing.T) {
+	for _, k := range Kernels() {
+		if k.Extra {
+			continue
+		}
+		cfg := Config{Workload: k.Name, MaxOps: 20_000, WarmupOps: 2_000, Audit: true}
+		tr, err := PrepareTrace(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trace = tr
+		for _, arch := range Architectures() {
+			cfg := cfg
+			cfg.Arch = arch
+			t.Run(arch+"/"+k.Name, func(t *testing.T) {
 				t.Parallel()
-				res, err := Run(Config{
-					Arch: arch, Workload: wl, MaxOps: 20_000, WarmupOps: 2_000, Audit: true,
-				})
+				res, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("audited run failed: %v", err)
 				}
@@ -69,33 +79,5 @@ func TestFaultCampaign32Seeds(t *testing.T) {
 				t.Fatalf("plan %s: no faults injected", plan)
 			}
 		})
-	}
-}
-
-// TestAuditFullMatrix is the acceptance sweep: every architecture × every
-// named kernel × 50k μops under full audit. It takes several minutes, so
-// it only runs when BALLERINO_AUDIT_FULL is set (tier-1 covers the smaller
-// TestAuditCampaign).
-func TestAuditFullMatrix(t *testing.T) {
-	if os.Getenv("BALLERINO_AUDIT_FULL") == "" {
-		t.Skip("set BALLERINO_AUDIT_FULL=1 to run the full audited matrix")
-	}
-	for _, arch := range Architectures() {
-		for _, k := range Kernels() {
-			if k.Extra {
-				continue
-			}
-			arch, wl := arch, k.Name
-			t.Run(arch+"/"+wl, func(t *testing.T) {
-				t.Parallel()
-				res, err := Run(Config{Arch: arch, Workload: wl, MaxOps: 50_000, Audit: true})
-				if err != nil {
-					t.Fatalf("audited run failed: %v", err)
-				}
-				if res.GoldenOps == 0 || res.AuditChecks == 0 {
-					t.Fatalf("self-verification did not run: %+v", res)
-				}
-			})
-		}
 	}
 }

@@ -137,10 +137,60 @@ func runGolden(t *testing.T, arch config.Arch, wl string) []byte {
 	return goldenDigest(pl, arch, wl)
 }
 
+// warmGoldenFile is the widened corpus's digest of one arch × kernel pair.
+func warmGoldenFile(arch config.Arch, wl string) string {
+	return filepath.Join("testdata", "golden", "warm", fmt.Sprintf("%s_%s.txt", arch, wl))
+}
+
+// warmGoldenBeat is the widened corpus's heartbeat interval: long enough
+// that a DRAM-bound run pins a few dozen interval rows, not thousands.
+const warmGoldenBeat = 100_000
+
+// runWarmGolden renders the widened corpus's entry for one arch × kernel
+// pair: the whole golden trace after a warm-up, with top-down accounting
+// off and then on, each with a sink-less recorder whose interval rows,
+// snapshots and metrics are pinned beside the digest.
+func runWarmGolden(t *testing.T, arch config.Arch, wl string) []byte {
+	t.Helper()
+	tr := goldenTrace(t, wl)
+	var out []byte
+	for _, td := range []bool{false, true} {
+		machine, seen := runEngine(t, arch, wl, tr, false, td, warmGoldenBeat)
+		out = fmt.Appendf(out, "== topdown=%v warmup=%d\n", td, skipWarmup)
+		out = append(append(out, machine...), seen...)
+	}
+	return out
+}
+
+// checkGolden compares got with the digest at path, or rewrites it under
+// -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden digest (run with -update to bootstrap): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("digest mismatch vs %s:\n--- want ---\n%s--- got ---\n%s", path, want, got)
+	}
+}
+
 // TestGoldenManifests is the behavioural-equivalence corpus: every arch ×
-// tier-1 workload digest must match the committed golden byte for byte. Any
-// diff means the engine's observable behaviour changed — intended changes
-// must regenerate the corpus with -update and justify the diff in review.
+// tier-1 workload digest must match the committed golden byte for byte,
+// and so must the widened corpus — every arch over the ten figure kernels
+// and the calibrated presets, after a warm-up, with top-down accounting
+// off and on and a sink-less recorder attached. Any diff means the
+// engine's observable behaviour changed — intended changes must
+// regenerate the corpus with -update and justify the diff in review.
 func TestGoldenManifests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus is the full tier-1 grid; skipped in -short")
@@ -150,24 +200,14 @@ func TestGoldenManifests(t *testing.T) {
 			arch, wl := arch, wl
 			t.Run(fmt.Sprintf("%s/%s", arch, wl), func(t *testing.T) {
 				t.Parallel()
-				got := runGolden(t, arch, wl)
-				path := goldenFile(arch, wl)
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden digest (run with -update to bootstrap): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("digest mismatch vs %s:\n--- want ---\n%s--- got ---\n%s", path, want, got)
-				}
+				checkGolden(t, goldenFile(arch, wl), runGolden(t, arch, wl))
+			})
+		}
+		for _, wl := range skipKernels() {
+			arch, wl := arch, wl
+			t.Run(fmt.Sprintf("warm/%s/%s", arch, wl), func(t *testing.T) {
+				t.Parallel()
+				checkGolden(t, warmGoldenFile(arch, wl), runWarmGolden(t, arch, wl))
 			})
 		}
 	}

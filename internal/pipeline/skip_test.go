@@ -59,10 +59,10 @@ func newEngine(t *testing.T, arch config.Arch, tr []isa.DynInst, stepper bool, a
 
 // runEngine warms the machine up, optionally attaches top-down
 // accounting and, when beat is non-zero, a sink-less recorder with that
-// heartbeat interval, runs the rest of tr and returns everything
-// observable: the golden digest, with top-down on the CPI-stack report,
-// and with a recorder everything it saw (see attachRecorder).
-func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, stepper, withTopdown bool, beat uint64) []byte {
+// heartbeat interval, and runs the rest of tr. It returns what the machine
+// did — the golden digest and, with top-down on, the CPI-stack report —
+// and, with a recorder, everything the recorder saw (see attachRecorder).
+func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, stepper, withTopdown bool, beat uint64) (machine, seen []byte) {
 	t.Helper()
 	p := newEngine(t, arch, tr, stepper, nil)
 	if err := p.Warmup(skipWarmup); err != nil {
@@ -73,21 +73,21 @@ func runEngine(t *testing.T, arch config.Arch, wl string, tr []isa.DynInst, step
 		td = topdown.New(goldenWidth)
 		p.AttachTopdown(td)
 	}
-	var seen func() []byte
+	var finish func() []byte
 	if beat != 0 {
-		seen = attachRecorder(p, beat)
+		finish = attachRecorder(p, beat)
 	}
 	if _, err := p.Run(uint64(len(tr) - skipWarmup)); err != nil {
 		t.Fatalf("%s/%s: %v", arch, wl, err)
 	}
-	out := goldenDigest(p, arch, wl)
+	machine = goldenDigest(p, arch, wl)
 	if td != nil {
-		out = fmt.Appendf(out, "topdown: %+v\n", *td.Report(p.Stats().Committed))
+		machine = fmt.Appendf(machine, "topdown: %+v\n", *td.Report(p.Stats().Committed))
 	}
-	if seen != nil {
-		out = append(out, seen()...)
+	if finish != nil {
+		seen = finish()
 	}
-	return out
+	return machine, seen
 }
 
 // attachRecorder attaches a recorder without sinks, as a served job does,
@@ -120,9 +120,12 @@ var skipBeats = []uint64{500, 997, obs.DefaultInterval}
 // off and on, the skipping loop and the reference stepper produce the
 // same digest and the same top-down report — with no recorder, and with
 // a sink-less recorder attached after warm-up, whose interval rows,
-// snapshots and metrics must match too. Each arch × kernel pair runs
-// one heartbeat interval, rotating through skipBeats so that every
-// architecture and every kernel meets each of them.
+// snapshots and metrics must match too. The stepper runs once per
+// configuration, with the recorder attached, and both skipping runs are
+// held to it: a sink-less recorder does not change what the machine does.
+// Each arch × kernel pair runs one heartbeat interval, rotating through
+// skipBeats so that every architecture and every kernel meets each of
+// them.
 func TestSkipMatchesStepper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the differential grid is not worth it in -short")
@@ -134,12 +137,14 @@ func TestSkipMatchesStepper(t *testing.T) {
 				t.Parallel()
 				tr := goldenTrace(t, wl)[:skipOps]
 				for _, td := range []bool{false, true} {
-					for _, beat := range []uint64{0, beat} {
-						want := runEngine(t, arch, wl, tr, true, td, beat)
-						got := runEngine(t, arch, wl, tr, false, td, beat)
-						if !bytes.Equal(got, want) {
-							t.Errorf("topdown=%v beat=%d: skipping loop diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s", td, beat, want, got)
-						}
+					want, wantSeen := runEngine(t, arch, wl, tr, true, td, beat)
+					plain, _ := runEngine(t, arch, wl, tr, false, td, 0)
+					got, gotSeen := runEngine(t, arch, wl, tr, false, td, beat)
+					if !bytes.Equal(plain, want) {
+						t.Errorf("topdown=%v: skipping loop diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s", td, want, plain)
+					}
+					if got, want := append(got, gotSeen...), append(want, wantSeen...); !bytes.Equal(got, want) {
+						t.Errorf("topdown=%v beat=%d: skipping loop with a recorder diverged from the stepper\n--- stepper ---\n%s--- skipping ---\n%s", td, beat, want, got)
 					}
 				}
 			})

@@ -71,6 +71,9 @@ type EngineInfo struct {
 	SteppedCycles uint64 `json:"stepped_cycles"`
 	SkippedCycles uint64 `json:"skipped_cycles"` // quiet cycles closed by jumps
 	Jumps         uint64 `json:"jumps"`
+	// Consults counts select's readiness consults: calls of the
+	// pipeline's check that a μop can issue this cycle.
+	Consults uint64 `json:"consults"`
 	// SteppedFor names what made the loop step every cycle: "sinks" or
 	// "faults"; empty when it could skip.
 	SteppedFor string `json:"stepped_for,omitempty"`

@@ -392,8 +392,9 @@ type Pipeline struct {
 	busy, quiet bool
 
 	// jumps and skipped count the measured region's jumps over quiet
-	// cycles and the cycles they closed without stepping (see Engine).
-	jumps, skipped uint64
+	// cycles and the cycles they closed without stepping, consults its
+	// calls of ready (see Engine).
+	jumps, skipped, consults uint64
 
 	// stepOnly turns quiet-cycle skipping off, so the loop steps every
 	// cycle: the reference stepper the differential tests hold the
@@ -711,7 +712,7 @@ func (p *Pipeline) WarmupContext(ctx context.Context, warmupCommits uint64) erro
 	}
 	committedBase := p.stats.Committed
 	p.stats = stats.Sim{}
-	p.jumps, p.skipped = 0, 0
+	p.jumps, p.skipped, p.consults = 0, 0, 0
 	p.warmupCycles = p.cycle
 	p.warmupCommits = committedBase
 	return nil
@@ -719,14 +720,15 @@ func (p *Pipeline) WarmupContext(ctx context.Context, warmupCommits uint64) erro
 
 // Engine reports how the cycle loop covered the measured region: the
 // cycles it stepped, the quiet cycles it closed by jumping over them, the
-// number of jumps, and what attached — if anything — made it step every
-// cycle: "sinks" (a recorder with sinks) or "faults", the first that
-// applies.
+// number of jumps, the readiness consults select made, and what attached
+// — if anything — made it step every cycle: "sinks" (a recorder with
+// sinks) or "faults", the first that applies.
 func (p *Pipeline) Engine() obs.EngineInfo {
 	e := obs.EngineInfo{
 		SteppedCycles: p.cycle - p.warmupCycles - p.skipped,
 		SkippedCycles: p.skipped,
 		Jumps:         p.jumps,
+		Consults:      p.consults,
 	}
 	switch {
 	case p.events != nil:
@@ -1140,7 +1142,9 @@ func (p *Pipeline) mdpResolved(u *sched.UOp) bool {
 	return st.Issued && st.IssueCycle < p.cycle
 }
 
+// ready is the readiness consult: whether u can issue this cycle.
 func (p *Pipeline) ready(u *sched.UOp) bool {
+	p.consults++
 	if !p.rn.FastReady(u.Src[0]) || !p.rn.FastReady(u.Src[1]) {
 		return false
 	}

@@ -295,7 +295,9 @@ func TestManifestDefaultPath(t *testing.T) {
 // sinks and a fault plan each make the loop step every cycle and are
 // named as the reason. Either way stepped and skipped cycles add up to
 // the measured cycles, and the canonical manifest drops the block. An
-// audited run without warm-up audits once per stepped cycle.
+// audited run without warm-up audits once per stepped cycle, and consults
+// readiness at least once per committed μop: every grant follows a
+// consult.
 func TestManifestEngineCounters(t *testing.T) {
 	dir := t.TempDir()
 	base := ballerino.Config{Arch: "OoO", Workload: "pointer-chase", MaxOps: 800, WarmupOps: 200}
@@ -343,6 +345,9 @@ func TestManifestEngineCounters(t *testing.T) {
 		// is audited once, at the cycle it starts from.
 		if cfg.Audit && cfg.WarmupOps == 0 && res.AuditChecks != e.SteppedCycles {
 			t.Errorf("%s: %d audits, want one per stepped cycle (%d)", tc.name, res.AuditChecks, e.SteppedCycles)
+		}
+		if cfg.WarmupOps == 0 && e.Consults < res.Committed {
+			t.Errorf("%s: %d readiness consults for %d committed μops, want at least one each", tc.name, e.Consults, res.Committed)
 		}
 	}
 }

@@ -231,7 +231,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 				b.cur.dep++
 				return container.Keep
 			}
-			if !ctx.Ready(u) {
+			if !ctx.CanIssue(u) {
 				if u.MDPWait != mdp.NoStore {
 					b.cur.mdep++
 				} else {
@@ -264,7 +264,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 // dependences. A steering failure stalls the window at that μop.
 func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	b.siq.SelectWindow(b.cfg.SIQWindow, func(u *sched.UOp) container.Verdict {
-		ready := ctx.Ready(u)
+		ready := ctx.CanIssue(u)
 		if ready && !portUsed.Used(u.Port) {
 			ctx.Grant(u)
 			b.events.QueueReads++

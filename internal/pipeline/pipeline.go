@@ -371,6 +371,14 @@ type Pipeline struct {
 	// per cycle was a measurable share of the hot loop.
 	issueCtx sched.IssueCtx
 
+	// deps is the dependents index: for each physical register, the
+	// dispatched μops waiting for its producer to issue, linked through
+	// UOp.WaitNext so that filing a waiter never allocates. grant fills
+	// in their SrcReady and, when the scheduler mirrors ready cycles
+	// (waker), refreshes its copy.
+	deps  []*sched.UOp
+	waker sched.Waker
+
 	// warmupCycles/warmupCommits record the state at the end of Warmup so
 	// reported statistics cover only the measured region.
 	warmupCycles  uint64
@@ -479,11 +487,13 @@ func New(cfg Config, trace []isa.DynInst, mk SchedulerFactory) (*Pipeline, error
 	}
 	p.rob.init(cfg.ROBSize)
 	p.decodeQ.init(cfg.DecodeQueue)
+	p.deps = make([]*sched.UOp, cfg.Rename.IntRegs+cfg.Rename.FpRegs)
 	p.issueCtx = sched.IssueCtx{Ready: p.ready, Grant: p.grant}
 	p.sched = mk(rn, m)
 	if p.sched == nil {
 		return nil, fmt.Errorf("pipeline: scheduler factory returned nil")
 	}
+	p.waker, _ = p.sched.(sched.Waker)
 	return p, nil
 }
 
@@ -593,6 +603,7 @@ func (p *Pipeline) AttachTopdown(e *topdown.Engine) {
 		Ready:       p.readyTD,
 		Grant:       p.grantTD,
 		PortBlocked: p.portBlockedTD,
+		Waiting:     p.waitingTD,
 	}
 }
 
@@ -629,17 +640,25 @@ func (p *Pipeline) grantTD(u *sched.UOp) {
 // already granted: FU contention if it was otherwise ready, else
 // whatever actually blocks it. (Schedulers check the port before
 // readiness, so u's readiness is unknown here; the extra ready() call
-// only runs with accounting attached, and not at all once the cycle's
-// blame is settled. It is idempotent — its only side effect,
-// MDPBlockedSince, is the first-refused cycle the deadlock autopsy
-// reports.)
+// only runs with accounting attached, for a μop whose SrcReady has come,
+// and not at all once the cycle's blame is settled. It is idempotent —
+// its only side effect, MDPBlockedSince, is the first-refused cycle the
+// deadlock autopsy reports.)
 func (p *Pipeline) portBlockedTD(u *sched.UOp) {
 	if p.td.Settled() {
 		return
 	}
-	if p.ready(u) {
+	if u.SrcReady <= p.cycle && p.ready(u) {
 		p.td.NoteFUBlock()
 	} else {
+		p.noteBlocked(u)
+	}
+}
+
+// waitingTD blames a μop select skipped because its register sources are
+// not ready yet, as readyTD blames the consult that would have refused it.
+func (p *Pipeline) waitingTD(u *sched.UOp) {
+	if !p.td.Settled() {
 		p.noteBlocked(u)
 	}
 }
@@ -1112,6 +1131,9 @@ func (p *Pipeline) squash(u *sched.UOp, rec rename.Entry) {
 	p.rn.Squash(rec)
 	if !u.Issued {
 		p.portInflight[u.Port]--
+		if u.SrcReady == rename.NeverReady {
+			p.dropWaiter(u)
+		}
 	}
 	p.lsq.Remove(u)
 	if u.D.IsStore() && p.cfg.UseMDP {
@@ -1164,6 +1186,7 @@ func (p *Pipeline) ready(u *sched.UOp) bool {
 }
 
 func (p *Pipeline) issue() {
+	p.issueCtx.Now = p.cycle
 	p.sched.Issue(p.cycle, &p.issueCtx)
 }
 
@@ -1176,7 +1199,9 @@ func (p *Pipeline) grant(u *sched.UOp) {
 	u.IssueCycle = p.cycle
 	p.stats.Issued++
 	p.portInflight[u.Port]--
-	u.ReadyCycle = p.readyCycleOf(u)
+	// When u's operands became available (the dispatch→ready component
+	// of the delay breakdowns).
+	u.ReadyCycle = max(u.DispatchCycle, u.SrcReady)
 
 	lat := sched.Latency(u.D.Op)
 	if !sched.Pipelined(u.D.Op) {
@@ -1203,6 +1228,7 @@ func (p *Pipeline) grant(u *sched.UOp) {
 	u.CompleteCycle = done
 	if u.Dst != rename.PhysNone {
 		p.rn.SetReadyAt(u.Dst, done)
+		p.wake(u.Dst)
 	}
 	p.wheel.push(u, done, p.cycle)
 
@@ -1214,16 +1240,61 @@ func (p *Pipeline) grant(u *sched.UOp) {
 	}
 }
 
-// readyCycleOf reconstructs when u's operands became available (for the
-// dispatch→ready component of the delay breakdowns).
-func (p *Pipeline) readyCycleOf(u *sched.UOp) uint64 {
-	r := u.DispatchCycle
-	for _, s := range u.Src {
-		if at := p.rn.ReadyAt(s); at != rename.NeverReady && at > r {
-			r = at
+// srcReady is the cycle both of u's register sources are available, or
+// rename.NeverReady while a producer has not issued.
+func (p *Pipeline) srcReady(u *sched.UOp) uint64 {
+	return max(p.rn.ReadyAt(u.Src[0]), p.rn.ReadyAt(u.Src[1]))
+}
+
+// addWaiter files a dispatched μop whose SrcReady is unknown under each
+// source whose producer has not issued.
+func (p *Pipeline) addWaiter(u *sched.UOp) {
+	for i, s := range u.Src {
+		if p.rn.ReadyAt(s) == rename.NeverReady && (i == 0 || s != u.Src[0]) {
+			u.WaitNext[i], p.deps[s] = p.deps[s], u
 		}
 	}
-	return r
+}
+
+// waitLink returns the link that threads u into r's waiter list.
+func waitLink(u *sched.UOp, r rename.PhysReg) **sched.UOp {
+	if u.Src[0] == r {
+		return &u.WaitNext[0]
+	}
+	return &u.WaitNext[1]
+}
+
+// wake fills in the SrcReady of the μops waiting on r, whose producer was
+// just granted; a μop still waiting on its other source stays unknown.
+func (p *Pipeline) wake(r rename.PhysReg) {
+	u := p.deps[r]
+	p.deps[r] = nil
+	for u != nil {
+		link := waitLink(u, r)
+		next := *link
+		*link = nil
+		u.SrcReady = p.srcReady(u)
+		if u.SrcReady != rename.NeverReady && p.waker != nil {
+			p.waker.Woken(u)
+		}
+		u = next
+	}
+}
+
+// dropWaiter unlinks a squashed μop from the dependents index.
+func (p *Pipeline) dropWaiter(u *sched.UOp) {
+	for i, s := range u.Src {
+		if s == rename.PhysNone || (i == 1 && s == u.Src[0]) {
+			continue
+		}
+		for link := &p.deps[s]; *link != nil; link = waitLink(*link, s) {
+			if *link == u {
+				*link = u.WaitNext[i]
+				u.WaitNext[i] = nil
+				break
+			}
+		}
+	}
 }
 
 // executeLoad performs AGU + store-queue search + cache access and returns
@@ -1265,9 +1336,13 @@ func (p *Pipeline) dispatch() {
 				return
 			}
 		}
+		u.SrcReady = p.srcReady(u)
 		if !p.sched.Dispatch(u, p.cycle) {
 			p.dispatchStall(u, topdown.StallIQ)
 			return
+		}
+		if u.SrcReady == rename.NeverReady {
+			p.addWaiter(u)
 		}
 		// Accepted: enter ROB and LSQ. Push before popping the decode slot
 		// (de points into the ring's storage).

@@ -97,7 +97,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 			s.blocked++
 			return container.Stop // in-order: the head blocks everything younger
 		}
-		if !ctx.Ready(u) {
+		if !ctx.CanIssue(u) {
 			s.blocked++
 			return container.Stop // in-order: the head blocks everything younger
 		}
@@ -134,7 +134,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 				if ctx.PortBlocked != nil {
 					ctx.PortBlocked(u)
 				}
-			} else if ctx.Ready(u) {
+			} else if ctx.CanIssue(u) {
 				issue = true
 			}
 			if issue {

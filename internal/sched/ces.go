@@ -202,7 +202,7 @@ func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
 			s.idle.dep++
 			continue
 		}
-		if !ctx.Ready(u) {
+		if !ctx.CanIssue(u) {
 			if u.MDPWait != mdp.NoStore {
 				s.idle.mdep++
 			} else {

@@ -101,7 +101,7 @@ func (s *FXA) Dispatch(u *UOp, cycle uint64) bool {
 func (s *FXA) Issue(cycle uint64, ctx *IssueCtx) {
 	keep := s.ixu[:0]
 	for _, op := range s.ixu {
-		if op.at <= cycle && ctx.Ready(op.u) {
+		if op.at <= cycle && ctx.CanIssue(op.u) {
 			ctx.Grant(op.u)
 		} else {
 			keep = append(keep, op)
@@ -131,6 +131,10 @@ func (s *FXA) Wake(now uint64) uint64 {
 	}
 	return w
 }
+
+// Woken implements Waker: only back-end μops wait for a producer to
+// issue; the IXU takes μops whose operands are known at dispatch.
+func (s *FXA) Woken(u *UOp) { s.backend.Woken(u) }
 
 // Complete implements Scheduler.
 func (s *FXA) Complete(dst rename.PhysReg, cycle uint64) {
@@ -177,4 +181,7 @@ func (s *FXA) Counters() map[string]uint64 {
 	}
 }
 
-var _ Scheduler = (*FXA)(nil)
+var (
+	_ Scheduler = (*FXA)(nil)
+	_ Waker     = (*FXA)(nil)
+)

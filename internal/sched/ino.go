@@ -58,7 +58,7 @@ func (s *InO) Issue(cycle uint64, ctx *IssueCtx) {
 		if granted >= s.width {
 			return container.Stop
 		}
-		if !ctx.Ready(u) {
+		if !ctx.CanIssue(u) {
 			s.blocked = true
 			return container.Stop
 		}

@@ -3,7 +3,6 @@ package sched
 import (
 	"math/bits"
 
-	"repro/internal/container"
 	"repro/internal/rename"
 )
 
@@ -12,18 +11,25 @@ import (
 // select circuits, and a payload RAM. Optionally it selects oldest-first
 // (Figure 11's variant): the compacting form of the same queue, whose
 // entries sit in age order and whose issued entries collapse out.
+//
+// Both forms keep each resident μop's SrcReady in an array parallel to
+// their slots (at), filled in by Woken, so select skips the μops whose
+// register sources are not ready without touching them.
 type OoO struct {
-	slots []*UOp // fixed positions; nil = free (random queue, no compaction)
-	free  []int  // free slot indices
+	// slots holds the μops at their positions. The random queue's are
+	// fixed (nil = free); the oldest-first queue's are its first n
+	// entries, in dispatch order — the pipeline dispatches in program
+	// order (a flush's refetched μops carry seqs above every survivor),
+	// so slot 0 is the oldest.
+	slots []*UOp
+	at    []uint64 // SrcReady of the μop in each slot
+	n     int      // oldest-first: live entries
 
-	// occ mirrors slot occupancy as a bitmap so Issue can enumerate live
-	// entries in position order without scanning the nil slots.
+	free []int // random queue: free slot indices
+	// occ mirrors the random queue's slot occupancy as a bitmap so Issue
+	// can enumerate live entries in position order without scanning the
+	// nil slots.
 	occ []uint64
-
-	// aged is the oldest-first variant's compacting queue, in dispatch
-	// order. The pipeline dispatches in program order (a flush's refetched
-	// μops carry seqs above every survivor), so the head is the oldest.
-	aged container.Ring[*UOp]
 
 	capacity    int
 	width       int
@@ -44,11 +50,11 @@ type OoO struct {
 // position, as a prefix-sum circuit over a random queue does.
 func NewOoO(capacity, width int, oldestFirst bool) *OoO {
 	s := &OoO{capacity: capacity, width: width, oldestFirst: oldestFirst}
+	s.slots = make([]*UOp, capacity)
+	s.at = make([]uint64, capacity)
 	if oldestFirst {
-		s.aged.Init(capacity)
 		return s
 	}
-	s.slots = make([]*UOp, capacity)
 	s.free = make([]int, 0, capacity)
 	s.occ = make([]uint64, (capacity+63)/64)
 	for i := capacity - 1; i >= 0; i-- {
@@ -71,30 +77,35 @@ func (s *OoO) Capacity() int { return s.capacity }
 // Occupancy implements Scheduler.
 func (s *OoO) Occupancy() int {
 	if s.oldestFirst {
-		return s.aged.Len()
+		return s.n
 	}
 	return s.capacity - len(s.free)
 }
 
 // Dispatch implements Scheduler.
 func (s *OoO) Dispatch(u *UOp, _ uint64) bool {
+	var idx int
 	if s.oldestFirst {
-		if s.aged.Full() {
+		if s.n == s.capacity {
 			return false
 		}
-		s.aged.Push(u)
+		idx = s.n
+		s.n++
 	} else {
 		if len(s.free) == 0 {
 			return false
 		}
-		idx := s.free[len(s.free)-1]
+		idx = s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
-		s.slots[idx] = u
 		s.occ[idx>>6] |= 1 << (uint(idx) & 63)
 	}
+	s.slots[idx], s.at[idx], u.Slot = u, u.SrcReady, idx
 	s.events.QueueWrites++
 	return true
 }
+
+// Woken implements Waker.
+func (s *OoO) Woken(u *UOp) { s.at[u.Slot] = u.SrcReady }
 
 // Issue implements Scheduler: per issue port, the prefix-sum circuit grants
 // the highest-priority requesting entry.
@@ -105,7 +116,7 @@ func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
 	s.selecting = true
 	s.ports.Reset()
 	if s.oldestFirst {
-		s.issueOldest(ctx)
+		s.issueOldest(cycle, ctx)
 		return
 	}
 
@@ -118,6 +129,12 @@ func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
 			}
 			idx := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
+			if s.at[idx] > cycle {
+				if ctx.Waiting != nil {
+					ctx.Waiting(s.slots[idx])
+				}
+				continue
+			}
 			u := s.slots[idx]
 			if s.ports.Used(u.Port) {
 				if ctx.PortBlocked != nil {
@@ -140,32 +157,50 @@ func (s *OoO) Issue(cycle uint64, ctx *IssueCtx) {
 	}
 }
 
-// issueOldest is the compacting queue's select: one walk from the head,
-// oldest first, granting until width; granted entries collapse out. It is
-// its own method because its closure captures granted by reference, which
-// inside Issue would keep the position-first loop's counter in memory.
-func (s *OoO) issueOldest(ctx *IssueCtx) {
-	granted := 0
-	s.aged.SelectWindow(s.aged.Len(), func(u *UOp) container.Verdict {
-		if granted >= s.width {
-			return container.Stop
-		}
-		if s.ports.Used(u.Port) {
+// issueOldest is the compacting queue's select: one walk from the oldest
+// entry, granting until width; the survivors close up behind the head.
+func (s *OoO) issueOldest(cycle uint64, ctx *IssueCtx) {
+	granted, w, i := 0, 0, 0
+	for ; i < s.n && granted < s.width; i++ {
+		u, at := s.slots[i], s.at[i]
+		switch {
+		case at > cycle:
+			if ctx.Waiting != nil {
+				ctx.Waiting(u)
+			}
+		case s.ports.Used(u.Port):
 			if ctx.PortBlocked != nil {
 				ctx.PortBlocked(u)
 			}
-			return container.Keep
+		case ctx.Ready(u):
+			ctx.Grant(u)
+			s.events.PayloadReads++
+			s.ports.Set(u.Port)
+			s.issued++
+			granted++
+			continue
 		}
-		if !ctx.Ready(u) {
-			return container.Keep
-		}
-		ctx.Grant(u)
-		s.events.PayloadReads++
-		s.ports.Set(u.Port)
-		s.issued++
-		granted++
-		return container.Take
-	})
+		s.keep(w, i)
+		w++
+	}
+	if w == i {
+		return // nothing granted: nothing moves
+	}
+	for ; i < s.n; i++ {
+		s.keep(w, i)
+		w++
+	}
+	clear(s.slots[w:s.n])
+	s.n = w
+}
+
+// keep moves the oldest-first queue's entry at position from to position
+// to (to ≤ from).
+func (s *OoO) keep(to, from int) {
+	if to != from {
+		u := s.slots[from]
+		s.slots[to], s.at[to], u.Slot = u, s.at[from], to
+	}
 }
 
 // Tick implements Scheduler: each port's prefix-sum circuit evaluates all
@@ -193,7 +228,13 @@ func (s *OoO) Complete(dst rename.PhysReg, _ uint64) {
 // Flush implements Scheduler.
 func (s *OoO) Flush(seq uint64) {
 	if s.oldestFirst {
-		s.aged.FlushFrom(seq)
+		for i := 0; i < s.n; i++ {
+			if s.slots[i].Seq() >= seq {
+				clear(s.slots[i:s.n])
+				s.n = i
+				return
+			}
+		}
 		return
 	}
 	for i, u := range s.slots {
@@ -210,15 +251,9 @@ func (s *OoO) Flush(seq uint64) {
 // program order; the random queue lists its physical slots in order.
 func (s *OoO) Queues() []QueueSnapshot {
 	var seqs []uint64
-	if s.oldestFirst {
-		for i := 0; i < s.aged.Len(); i++ {
-			seqs = append(seqs, s.aged.At(i).Seq())
-		}
-	} else {
-		for _, u := range s.slots {
-			if u != nil {
-				seqs = append(seqs, u.Seq())
-			}
+	for _, u := range s.slots {
+		if u != nil {
+			seqs = append(seqs, u.Seq())
 		}
 	}
 	return []QueueSnapshot{{Name: "IQ", FIFO: s.oldestFirst, Cap: s.capacity, Seqs: seqs}}
@@ -232,4 +267,7 @@ func (s *OoO) Counters() map[string]uint64 {
 	return map[string]uint64{"issued": s.issued}
 }
 
-var _ Scheduler = (*OoO)(nil)
+var (
+	_ Scheduler = (*OoO)(nil)
+	_ Waker     = (*OoO)(nil)
+)

@@ -55,6 +55,15 @@ type UOp struct {
 
 	// ROB slot, owned by the pipeline.
 	ROB int
+	// Slot is the μop's position in a scheduler that mirrors ready cycles
+	// in an array of its own (see Waker), owned by that scheduler.
+	Slot int
+
+	// SrcReady is the cycle both register sources are available through
+	// the bypass network, or rename.NeverReady while a producer has not
+	// issued. The pipeline sets it at dispatch and fills it in when the
+	// last producer is granted; select skips the μop until then.
+	SrcReady uint64
 
 	// Timestamps (cycles).
 	DecodeCycle   uint64
@@ -80,6 +89,12 @@ type UOp struct {
 	Committed bool
 	// WBDone marks μops whose completion (writeback) event has fired.
 	WBDone bool
+
+	// WaitNext holds the pipeline-owned intrusive links threading this
+	// μop into the dependents index: WaitNext[i] is the next μop waiting
+	// on the producer of Src[i] (one link when both sources name the same
+	// register).
+	WaitNext [2]*UOp
 
 	// WheelNext is the pipeline-owned intrusive link threading this μop
 	// into its completion-wheel bucket. A μop has at most one pending
@@ -120,11 +135,15 @@ func (e *EnergyEvents) Add(other EnergyEvents) {
 }
 
 // IssueCtx is the per-cycle issue interface the pipeline hands to the
-// scheduler. Ready must be consulted before Grant; Grant issues the μop.
+// scheduler. CanIssue (or Ready, for a μop whose SrcReady has come) must
+// be consulted before Grant; Grant issues the μop.
 type IssueCtx struct {
-	// Ready reports whether u can issue this cycle: all renamed sources
-	// available through the bypass network, any predicted memory
-	// dependence resolved, and u's functional unit free.
+	// Now is the cycle being issued.
+	Now uint64
+	// Ready is the readiness consult: whether u can issue this cycle —
+	// all renamed sources available through the bypass network, any
+	// predicted memory dependence resolved, and u's functional unit free.
+	// Schedulers consult it only for μops whose SrcReady has come.
 	Ready func(u *UOp) bool
 	// Grant issues u this cycle. The scheduler must respect one grant per
 	// issue port per cycle.
@@ -135,6 +154,24 @@ type IssueCtx struct {
 	// schedulers must nil-check it — and it classifies the lost slot
 	// (FU contention when u was otherwise ready) for the CPI stack.
 	PortBlocked func(u *UOp)
+	// Waiting, when non-nil, reports that the scheduler skipped u without
+	// a consult because its register sources are not ready yet (SrcReady
+	// after Now). Like PortBlocked it is set only while topdown accounting
+	// is attached, and it blames the lost slot as a refused consult would.
+	Waiting func(u *UOp)
+}
+
+// CanIssue reports whether u can issue this cycle: false without a
+// consult while u's register sources are not ready (reported through
+// Waiting), else the Ready consult.
+func (c *IssueCtx) CanIssue(u *UOp) bool {
+	if u.SrcReady > c.Now {
+		if c.Waiting != nil {
+			c.Waiting(u)
+		}
+		return false
+	}
+	return c.Ready(u)
 }
 
 // Scheduler is the issue-queue organisation under evaluation. The
@@ -244,6 +281,14 @@ type Probe func(kind ProbeKind, cycle, seq uint64, arg int)
 // through a Probe. SetProbe(nil) detaches.
 type Probed interface {
 	SetProbe(Probe)
+}
+
+// Waker is implemented by schedulers that mirror their μops' SrcReady in
+// an array of their own, so select scans ready cycles without touching
+// the μops: Woken refreshes u's entry once the pipeline has filled in
+// u.SrcReady.
+type Waker interface {
+	Woken(u *UOp)
 }
 
 // Sharer is implemented by schedulers with P-IQ sharing mode (§III-C):

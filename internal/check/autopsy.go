@@ -158,7 +158,7 @@ func Collect(s Source) *Autopsy {
 		}
 	}
 
-	for _, q := range s.Scheduler().Queues() {
+	for _, q := range s.Scheduler().Queues(nil) {
 		qs := QueueState{Name: q.Name, Occupancy: len(q.Seqs), Cap: q.Cap}
 		if len(q.Seqs) > 0 {
 			qs.HeadSeq = q.Seqs[0]

@@ -110,6 +110,7 @@ type Auditor struct {
 	seqs      []uint64 // ROB index → seq
 	producers []int    // physical register → 1 + ROB index of its producer (0: none)
 	buffered  []bool   // ROB index → seen in a scheduler queue
+	queues    []sched.QueueSnapshot
 }
 
 // NewAuditor returns an auditor expecting the commit stream to start at
@@ -206,7 +207,8 @@ func (a *Auditor) Check(s Source) error {
 	// --- Scheduler queue discipline and residency ---
 	a.buffered = append(a.buffered[:0], make([]bool, n)...)
 	total := 0
-	for _, q := range s.Scheduler().Queues() {
+	a.queues = s.Scheduler().Queues(a.queues)
+	for _, q := range a.queues {
 		if q.Cap > 0 && len(q.Seqs) > q.Cap {
 			return fail("queue-capacity", "%s holds %d μops, capacity %d", q.Name, len(q.Seqs), q.Cap)
 		}

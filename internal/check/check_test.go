@@ -18,18 +18,18 @@ type fakeSched struct {
 	occ    int
 }
 
-func (s *fakeSched) Name() string                     { return "fake" }
-func (s *fakeSched) Capacity() int                    { return 64 }
-func (s *fakeSched) Dispatch(*sched.UOp, uint64) bool { return true }
-func (s *fakeSched) Issue(uint64, *sched.IssueCtx)    {}
-func (s *fakeSched) Tick(uint64)                      {}
-func (s *fakeSched) Wake(uint64) uint64               { return sched.NoWake }
-func (s *fakeSched) Complete(rename.PhysReg, uint64)  {}
-func (s *fakeSched) Flush(uint64)                     {}
-func (s *fakeSched) Occupancy() int                   { return s.occ }
-func (s *fakeSched) Energy() sched.EnergyEvents       { return sched.EnergyEvents{} }
-func (s *fakeSched) Counters() map[string]uint64      { return nil }
-func (s *fakeSched) Queues() []sched.QueueSnapshot    { return s.queues }
+func (s *fakeSched) Name() string                                       { return "fake" }
+func (s *fakeSched) Capacity() int                                      { return 64 }
+func (s *fakeSched) Dispatch(*sched.UOp, uint64) bool                   { return true }
+func (s *fakeSched) Issue(uint64, *sched.IssueCtx)                      {}
+func (s *fakeSched) Tick(uint64)                                        {}
+func (s *fakeSched) Wake(uint64) uint64                                 { return sched.NoWake }
+func (s *fakeSched) Complete(rename.PhysReg, uint64)                    {}
+func (s *fakeSched) Flush(uint64)                                       {}
+func (s *fakeSched) Occupancy() int                                     { return s.occ }
+func (s *fakeSched) Energy() sched.EnergyEvents                         { return sched.EnergyEvents{} }
+func (s *fakeSched) Counters() map[string]uint64                        { return nil }
+func (s *fakeSched) Queues([]sched.QueueSnapshot) []sched.QueueSnapshot { return s.queues }
 
 // fakeSource is a hand-built machine state implementing check.Source.
 type fakeSource struct {

@@ -92,6 +92,13 @@ type Ballerino struct {
 
 	siq  container.Ring[*sched.UOp]
 	piqs []piq
+	// idle[i], when after the current cycle, is when one of P-IQ i's
+	// heads can next be ready (piq.dataWait): until then the queue stalls
+	// on data every cycle, handing its head to the other partition when
+	// idleSwitch[i], and select tallies it without examining it. Any
+	// change to the queue or to a ready cycle in it clears idle[i].
+	idle       []uint64
+	idleSwitch []bool
 
 	events sched.EnergyEvents
 	ports  sched.PortMask
@@ -121,6 +128,12 @@ type Ballerino struct {
 	// hands its head to the other partition; moved, a steered μop.
 	cur, prev        stalls
 	switching, moved bool
+
+	// epoch counts changes to what steering's search for an empty or
+	// shareable P-IQ reads: P-IQ contents, modes and last-cycle issue
+	// flags. stuck is the epoch at which that search last failed, so a
+	// stalled S-IQ window does not repeat it until a P-IQ changes.
+	epoch, stuck uint64
 }
 
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
@@ -140,10 +153,13 @@ func New(cfg Config, rn *rename.Renamer, m *mdp.MDP) *Ballerino {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	b := &Ballerino{cfg: cfg, rn: rn, mdp: m, piqs: make([]piq, cfg.NumPIQs)}
+	b := &Ballerino{cfg: cfg, rn: rn, mdp: m, piqs: make([]piq, cfg.NumPIQs), epoch: 1,
+		idle: make([]uint64, cfg.NumPIQs), idleSwitch: make([]bool, cfg.NumPIQs)}
 	b.siq.Init(cfg.SIQSize)
 	for i := range b.piqs {
 		b.piqs[i].init(cfg.PIQDepth)
+		b.piqs[i].id = i * cfg.PIQDepth
+		b.piqs[i].names = [2]string{fmt.Sprintf("P-IQ%d.0", i), fmt.Sprintf("P-IQ%d.1", i)}
 	}
 	return b
 }
@@ -188,8 +204,20 @@ func (b *Ballerino) Dispatch(u *sched.UOp, _ uint64) bool {
 		return false
 	}
 	b.siq.Push(u)
+	u.Slot = -1 // not in a P-IQ
 	b.events.QueueWrites++
 	return true
+}
+
+// Woken implements sched.Waker: a μop waiting in a P-IQ refreshes its
+// mirrored ready cycle; one in the S-IQ is read directly.
+func (b *Ballerino) Woken(u *sched.UOp) {
+	if u.Slot >= 0 {
+		i := u.Slot / b.cfg.PIQDepth
+		q := &b.piqs[i]
+		q.at[u.Slot-q.id] = u.SrcReady
+		b.idle[i] = 0
+	}
 }
 
 // locCode encodes (P-IQ index, partition) into the producer-location value
@@ -213,48 +241,95 @@ func (b *Ballerino) Issue(cycle uint64, ctx *sched.IssueCtx) {
 	b.examineSIQ(cycle, ctx, portUsed)
 }
 
-// issuePIQHeads examines each P-IQ's active dependence head through the
-// container select vocabulary: Take pops the head (a grant), Keep stalls
-// it in place.
+// issuePIQHeads examines each P-IQ's active dependence heads: a granted
+// head is popped, any other stalls in place.
 func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	for i := range b.piqs {
+		if b.idle[i] > cycle {
+			b.cur.dep++
+			if b.idleSwitch[i] {
+				b.piqs[i].switchHead, b.switching = true, true
+			}
+			if ctx.Waiting != nil {
+				q := &b.piqs[i]
+				ctx.Waiting(q.headOf(q.active))
+			}
+			continue
+		}
 		q := &b.piqs[i]
 		if q.len() == 0 {
 			b.cur.empty++
 			continue
 		}
-		issuedAny := q.selectHeads(b.cfg.Options.IdealSharing, func(u *sched.UOp) container.Verdict {
-			if portUsed.Used(u.Port) {
-				if ctx.PortBlocked != nil {
-					ctx.PortBlocked(u)
-				}
-				b.cur.dep++
-				return container.Keep
+		var heads [2]int
+		issuedAny := false
+		for _, part := range heads[:q.activeHeadsInto(b.cfg.Options.IdealSharing, &heads)] {
+			pos := q.parts[part].slot(0)
+			if q.at[pos] > cycle {
+				b.waitingHead(q, pos, ctx, portUsed)
+				continue
 			}
-			if !ctx.CanIssue(u) {
-				if u.MDPWait != mdp.NoStore {
-					b.cur.mdep++
-				} else {
-					b.cur.dep++
-				}
-				return container.Keep
+			if b.examineHead(q.buf[pos], ctx, portUsed) {
+				q.popHead(part)
+				issuedAny = true
 			}
-			ctx.Grant(u)
-			b.events.QueueReads++
-			b.events.PSCBReads += 2
-			b.events.PayloadReads++
-			portUsed.Set(u.Port)
-			b.issuedPIQ++
-			b.headIssue++
-			return container.Take
-		})
-		wasSharing := q.sharing
+		}
+		wasSharing, lastIssued := q.sharing, q.lastIssued
 		q.endCyclePolicy(issuedAny, b.cfg.Options.AlwaysSwitchHead)
+		if issuedAny || q.lastIssued != lastIssued || q.sharing != wasSharing {
+			b.epoch++
+		}
 		b.switching = b.switching || q.switchHead
+		if !issuedAny && !b.cfg.Options.IdealSharing {
+			b.idle[i], b.idleSwitch[i] = q.dataWait(cycle), q.switchHead
+		}
 		if b.probe != nil && wasSharing && !q.sharing {
 			b.probe(sched.ProbePIQMerge, cycle, 0, i)
 		}
 	}
+}
+
+// waitingHead tallies a P-IQ head whose register sources are not ready
+// yet as examineHead tallies one the consult refuses, reading the μop
+// only to tell a port taken by another head from a predicted memory
+// dependence, and for top-down's blame.
+func (b *Ballerino) waitingHead(q *piq, pos int, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
+	if q.mdep[pos] && !portUsed.Used(q.buf[pos].Port) {
+		b.cur.mdep++
+	} else {
+		b.cur.dep++
+	}
+	if ctx.Waiting != nil {
+		ctx.Waiting(q.buf[pos])
+	}
+}
+
+// examineHead offers one P-IQ head to select and reports whether it was
+// granted; a head that stalls is tallied for Tick.
+func (b *Ballerino) examineHead(u *sched.UOp, ctx *sched.IssueCtx, portUsed *sched.PortMask) bool {
+	if portUsed.Used(u.Port) {
+		if ctx.PortBlocked != nil {
+			ctx.PortBlocked(u)
+		}
+		b.cur.dep++
+		return false
+	}
+	if !ctx.CanIssue(u) {
+		if u.MDPWait != mdp.NoStore {
+			b.cur.mdep++
+		} else {
+			b.cur.dep++
+		}
+		return false
+	}
+	ctx.Grant(u)
+	b.events.QueueReads++
+	b.events.PSCBReads += 2
+	b.events.PayloadReads++
+	portUsed.Set(u.Port)
+	b.issuedPIQ++
+	b.headIssue++
+	return true
 }
 
 // examineSIQ walks the speculative scheduling window at the S-IQ head,
@@ -380,7 +455,11 @@ func (b *Ballerino) steer(u *sched.UOp, cycle uint64) bool {
 		}
 	}
 
-	// 3) New dependence head: an empty P-IQ.
+	// 3) New dependence head: an empty P-IQ — unless this search failed
+	// already and no P-IQ changed since.
+	if b.stuck == b.epoch {
+		return false
+	}
 	for i := range b.piqs {
 		if b.piqs[i].len() == 0 {
 			b.enqueue(i, 0, u)
@@ -417,6 +496,7 @@ func (b *Ballerino) steer(u *sched.UOp, cycle uint64) bool {
 			}
 		}
 	}
+	b.stuck = b.epoch
 	return false
 }
 
@@ -424,6 +504,8 @@ func (b *Ballerino) steer(u *sched.UOp, cycle uint64) bool {
 // producer location to the P-SCB (and, for stores, the LFST).
 func (b *Ballerino) enqueue(iq, part int, u *sched.UOp) {
 	b.piqs[iq].append(part, u)
+	b.idle[iq] = 0
+	b.epoch++
 	b.events.QueueWrites++
 	code := locCode(iq, part)
 	if u.Dst != rename.PhysNone {
@@ -441,6 +523,8 @@ func (b *Ballerino) Complete(rename.PhysReg, uint64) {}
 
 // Flush implements sched.Scheduler.
 func (b *Ballerino) Flush(seq uint64) {
+	b.epoch++
+	clear(b.idle)
 	b.siq.FlushFrom(seq)
 	for i := range b.piqs {
 		b.piqs[i].flushFrom(seq)
@@ -449,24 +533,20 @@ func (b *Ballerino) Flush(seq uint64) {
 
 // Queues implements sched.Scheduler: the S-IQ plus every P-IQ partition,
 // each an in-order FIFO holding one dependence chain.
-func (b *Ballerino) Queues() []sched.QueueSnapshot {
-	siq := make([]uint64, b.siq.Len())
-	for i := range siq {
-		siq[i] = b.siq.At(i).Seq()
+func (b *Ballerino) Queues(dst []sched.QueueSnapshot) []sched.QueueSnapshot {
+	qs, siq := sched.NextQueue(dst[:0], "S-IQ", true, b.cfg.SIQSize)
+	for i := 0; i < b.siq.Len(); i++ {
+		siq.Seqs = append(siq.Seqs, b.siq.At(i).Seq())
 	}
-	qs := []sched.QueueSnapshot{{Name: "S-IQ", FIFO: true, Cap: b.cfg.SIQSize, Seqs: siq}}
 	for i := range b.piqs {
 		q := &b.piqs[i]
 		for pi := range q.parts {
 			if q.parts[pi].size == 0 && q.parts[pi].count == 0 {
 				continue // partition 1 does not exist in normal mode
 			}
-			qs = append(qs, sched.QueueSnapshot{
-				Name: fmt.Sprintf("P-IQ%d.%d", i, pi),
-				FIFO: true,
-				Cap:  q.parts[pi].size,
-				Seqs: q.partSeqs(pi, nil),
-			})
+			var s *sched.QueueSnapshot
+			qs, s = sched.NextQueue(qs, q.names[pi], true, q.parts[pi].size)
+			s.Seqs = q.partSeqs(pi, s.Seqs)
 		}
 	}
 	return qs
@@ -494,5 +574,8 @@ func (b *Ballerino) Counters() map[string]uint64 {
 	}
 }
 
-var _ sched.Scheduler = (*Ballerino)(nil)
-var _ sched.Probed = (*Ballerino)(nil)
+var (
+	_ sched.Scheduler = (*Ballerino)(nil)
+	_ sched.Probed    = (*Ballerino)(nil)
+	_ sched.Waker     = (*Ballerino)(nil)
+)

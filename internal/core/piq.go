@@ -1,7 +1,7 @@
 package core
 
 import (
-	"repro/internal/container"
+	"repro/internal/mdp"
 	"repro/internal/sched"
 )
 
@@ -18,6 +18,15 @@ import (
 type piq struct {
 	buf []*sched.UOp
 	cap int
+	// at and mdep mirror each buffered μop's SrcReady and whether it has
+	// a predicted memory dependence, so a head whose register sources are
+	// not ready stalls without its μop being read. id is the queue's
+	// first UOp.Slot value: a μop at buffer position i has Slot id+i.
+	at   []uint64
+	mdep []bool
+	id   int
+	// names are the partitions' queue-snapshot names.
+	names [2]string
 
 	// scratch backs the ideal-sharing compaction (≤ cap/2 entries move),
 	// so activating sharing never allocates.
@@ -44,6 +53,8 @@ func (q *piq) init(capacity int) {
 		panic("core: P-IQ depth must be an even number ≥ 2")
 	}
 	q.buf = make([]*sched.UOp, capacity)
+	q.at = make([]uint64, capacity)
+	q.mdep = make([]bool, capacity)
 	q.cap = capacity
 	q.scratch = make([]*sched.UOp, capacity/2)
 	q.reset()
@@ -61,7 +72,15 @@ func (q *piq) reset() {
 
 func (q *piq) len() int { return q.parts[0].count + q.parts[1].count }
 
-func (p *part) slot(i int) int { return p.base + (p.head+i)%p.size }
+// slot maps the partition's i-th entry (0 = head, i < size) to a buffer
+// position; one conditional replaces the modulo.
+func (p *part) slot(i int) int {
+	s := p.head + i
+	if s >= p.size {
+		s -= p.size
+	}
+	return p.base + s
+}
 
 // canAppend reports whether partition part can accept one more μop.
 func (q *piq) canAppend(partIdx int) bool {
@@ -78,8 +97,14 @@ func (q *piq) append(partIdx int, u *sched.UOp) {
 		panic("core: append to full P-IQ partition")
 	}
 	p := &q.parts[partIdx]
-	q.buf[p.slot(p.count)] = u
+	q.put(p.slot(p.count), u)
 	p.count++
+}
+
+// put stores u at buffer position i with its mirrored fields.
+func (q *piq) put(i int, u *sched.UOp) {
+	q.buf[i], q.at[i], q.mdep[i] = u, u.SrcReady, u.MDPWait != mdp.NoStore
+	u.Slot = q.id + i
 }
 
 // headOf returns the μop at the head of partition part.
@@ -94,7 +119,9 @@ func (q *piq) headOf(partIdx int) *sched.UOp {
 func (q *piq) popHead(partIdx int) {
 	p := &q.parts[partIdx]
 	q.buf[p.slot(0)] = nil
-	p.head = (p.head + 1) % p.size
+	if p.head++; p.head == p.size {
+		p.head = 0
+	}
 	p.count--
 }
 
@@ -127,22 +154,26 @@ func (q *piq) activeHeadsInto(ideal bool, dst *[2]int) int {
 	return 1
 }
 
-// selectHeads offers this cycle's examined partition heads to visit under
-// the container select discipline — Take pops the head (it issued), Keep
-// leaves it stalled — and reports whether any head issued. In sharing
-// mode, selecting the examined head may flip the active partition (an
-// activeHeadsInto side effect) exactly as direct head examination did.
-func (q *piq) selectHeads(ideal bool, visit func(*sched.UOp) container.Verdict) bool {
-	var heads [2]int
-	nh := q.activeHeadsInto(ideal, &heads)
-	issued := false
-	for _, part := range heads[:nh] {
-		if visit(q.headOf(part)) == container.Take {
-			q.popHead(part)
-			issued = true
+// dataWait returns the first cycle one of the partition heads can be
+// ready when every non-empty partition's head waits on its register
+// sources with no predicted memory dependence, else 0. Until then, a
+// queue examined one head per cycle stalls on data in every cycle.
+func (q *piq) dataWait(now uint64) uint64 {
+	w := uint64(0)
+	for pi := range q.parts {
+		p := &q.parts[pi]
+		if p.count == 0 {
+			continue
+		}
+		pos := p.slot(0)
+		if q.at[pos] <= now || q.mdep[pos] {
+			return 0
+		}
+		if w == 0 || q.at[pos] < w {
+			w = q.at[pos]
 		}
 	}
-	return issued
+	return w
 }
 
 // activeHeads is activeHeadsInto as a slice (test convenience).
@@ -238,8 +269,8 @@ func (q *piq) activateSharing(ideal bool) (int, bool) {
 		for i := range q.buf {
 			q.buf[i] = nil
 		}
-		copy(q.buf, tmp)
-		for i := range tmp {
+		for i, u := range tmp {
+			q.put(i, u)
 			tmp[i] = nil
 		}
 		q.sharing = true

@@ -60,6 +60,37 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	})
 }
 
+// TestAuditAllocs: once an audited pipeline is warm, an audit allocates
+// nothing — the auditor reuses its scratch, the schedulers' queue
+// snapshots included — on every scheduler implementation.
+func TestAuditAllocs(t *testing.T) {
+	tr := hotLoopTrace(t, "mixed", 20_000)
+	for _, arch := range hotLoopArchs {
+		t.Run(string(arch), func(t *testing.T) {
+			m := config.MustMachine(arch, 8, config.Options{})
+			pl, err := pipeline.New(m.Pipeline, tr, m.Factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := pl.EnableAudit()
+			if _, err := pl.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+			if pl.Scheduler().Occupancy() == 0 {
+				t.Fatal("audited an empty scheduler")
+			}
+			avg := testing.AllocsPerRun(100, func() {
+				if err := a.Check(pl); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("%s: %.1f allocs per audit on a warm pipeline, want 0", arch, avg)
+			}
+		})
+	}
+}
+
 // steadyStateAllocs runs the mixed kernel on every hotLoopArchs entry,
 // instrumented by attach when it is non-nil, and requires zero allocations
 // per 5k-commit slice once the pipeline is warm.

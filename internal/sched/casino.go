@@ -14,6 +14,7 @@ import (
 // the next queue. The final queue issues strictly in program order.
 type CASINO struct {
 	queues []container.Ring[*UOp] // queues[0] is S-IQ0 (dispatch target); last is the in-order IQ
+	names  []string               // the queues' snapshot names
 	window int                    // μops examined per S-IQ per cycle (read ports)
 	pass   int                    // μops passed to the next queue per cycle (write ports)
 	width  int
@@ -39,6 +40,11 @@ func NewCASINO(sizes []int, window, pass, width int) *CASINO {
 	}
 	for i, n := range sizes {
 		s.queues[i].Init(n)
+		name := fmt.Sprintf("S-IQ%d", i)
+		if i == len(sizes)-1 {
+			name = "IQ"
+		}
+		s.names = append(s.names, name)
 	}
 	return s
 }
@@ -194,18 +200,12 @@ func (s *CASINO) Flush(seq uint64) {
 }
 
 // Queues implements Scheduler: each cascade stage is an in-order queue.
-func (s *CASINO) Queues() []QueueSnapshot {
-	qs := make([]QueueSnapshot, len(s.queues))
+func (s *CASINO) Queues(dst []QueueSnapshot) []QueueSnapshot {
+	qs := dst[:0]
 	for i := range s.queues {
-		seqs := make([]uint64, s.queues[i].Len())
-		for j := range seqs {
-			seqs[j] = s.queues[i].At(j).Seq()
-		}
-		name := fmt.Sprintf("S-IQ%d", i)
-		if i == len(s.queues)-1 {
-			name = "IQ"
-		}
-		qs[i] = QueueSnapshot{Name: name, FIFO: true, Cap: s.queues[i].Cap(), Seqs: seqs}
+		var q *QueueSnapshot
+		qs, q = NextQueue(qs, s.names[i], true, s.queues[i].Cap())
+		q.Seqs = appendSeqs(q.Seqs, &s.queues[i])
 	}
 	return qs
 }

@@ -17,6 +17,7 @@ import (
 // steering (the "CES + MDA steering" bar of Figure 13).
 type CES struct {
 	iqs   []container.Ring[*UOp]
+	names []string // the P-IQs' snapshot names
 	rn    *rename.Renamer
 	mdp   *mdp.MDP
 	mda   bool
@@ -65,6 +66,7 @@ func NewCES(n, depth, width int, rn *rename.Renamer, m *mdp.MDP, mda bool) *CES 
 	}
 	for i := range s.iqs {
 		s.iqs[i].Init(depth)
+		s.names = append(s.names, fmt.Sprintf("P-IQ%d", i))
 	}
 	return s
 }
@@ -260,14 +262,12 @@ func (s *CES) Flush(seq uint64) {
 }
 
 // Queues implements Scheduler: every P-IQ is an in-order dependence chain.
-func (s *CES) Queues() []QueueSnapshot {
-	qs := make([]QueueSnapshot, len(s.iqs))
+func (s *CES) Queues(dst []QueueSnapshot) []QueueSnapshot {
+	qs := dst[:0]
 	for i := range s.iqs {
-		seqs := make([]uint64, s.iqs[i].Len())
-		for j := range seqs {
-			seqs[j] = s.iqs[i].At(j).Seq()
-		}
-		qs[i] = QueueSnapshot{Name: fmt.Sprintf("P-IQ%d", i), FIFO: true, Cap: s.iqs[i].Cap(), Seqs: seqs}
+		var q *QueueSnapshot
+		qs, q = NextQueue(qs, s.names[i], true, s.iqs[i].Cap())
+		q.Seqs = appendSeqs(q.Seqs, &s.iqs[i])
 	}
 	return qs
 }

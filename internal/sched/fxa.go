@@ -156,13 +156,12 @@ func (s *FXA) Flush(seq uint64) {
 // Queues implements Scheduler: the IXU's in-flight μops (dispatch order,
 // but executed by operand arrival — not FIFO discipline) plus the back-end
 // out-of-order IQ.
-func (s *FXA) Queues() []QueueSnapshot {
-	seqs := make([]uint64, len(s.ixu))
-	for i, op := range s.ixu {
-		seqs[i] = op.u.Seq()
+func (s *FXA) Queues(dst []QueueSnapshot) []QueueSnapshot {
+	qs, q := NextQueue(dst[:0], "IXU", false, len(s.ixu))
+	for _, op := range s.ixu {
+		q.Seqs = append(q.Seqs, op.u.Seq())
 	}
-	qs := []QueueSnapshot{{Name: "IXU", FIFO: false, Cap: len(s.ixu), Seqs: seqs}}
-	return append(qs, s.backend.Queues()...)
+	return s.backend.appendQueue(qs)
 }
 
 // Energy implements Scheduler.

@@ -104,12 +104,18 @@ func (s *InO) Flush(seq uint64) {
 }
 
 // Queues implements Scheduler: the single in-order FIFO.
-func (s *InO) Queues() []QueueSnapshot {
-	seqs := make([]uint64, s.entries.Len())
-	for i := range seqs {
-		seqs[i] = s.entries.At(i).Seq()
+func (s *InO) Queues(dst []QueueSnapshot) []QueueSnapshot {
+	qs, q := NextQueue(dst[:0], "IQ", true, s.entries.Cap())
+	q.Seqs = appendSeqs(q.Seqs, &s.entries)
+	return qs
+}
+
+// appendSeqs appends r's sequence numbers, head first, to seqs.
+func appendSeqs(seqs []uint64, r *container.Ring[*UOp]) []uint64 {
+	for i := 0; i < r.Len(); i++ {
+		seqs = append(seqs, r.At(i).Seq())
 	}
-	return []QueueSnapshot{{Name: "IQ", FIFO: true, Cap: s.entries.Cap(), Seqs: seqs}}
+	return seqs
 }
 
 // Energy implements Scheduler.

@@ -249,14 +249,19 @@ func (s *OoO) Flush(seq uint64) {
 // Queues implements Scheduler: one queue. The oldest-first variant lists
 // it oldest first as a FIFO, so the auditor checks that μops enter in
 // program order; the random queue lists its physical slots in order.
-func (s *OoO) Queues() []QueueSnapshot {
-	var seqs []uint64
+func (s *OoO) Queues(dst []QueueSnapshot) []QueueSnapshot {
+	return s.appendQueue(dst[:0])
+}
+
+// appendQueue appends the queue's snapshot to qs.
+func (s *OoO) appendQueue(qs []QueueSnapshot) []QueueSnapshot {
+	qs, q := NextQueue(qs, "IQ", s.oldestFirst, s.capacity)
 	for _, u := range s.slots {
 		if u != nil {
-			seqs = append(seqs, u.Seq())
+			q.Seqs = append(q.Seqs, u.Seq())
 		}
 	}
-	return []QueueSnapshot{{Name: "IQ", FIFO: s.oldestFirst, Cap: s.capacity, Seqs: seqs}}
+	return qs
 }
 
 // Energy implements Scheduler.

@@ -106,7 +106,7 @@ func TestOoOOldestFirstDifferential(t *testing.T) {
 				t.Fatalf("trial %d op %d: occupancy %d, want %d", trial, op, s.Occupancy(), len(resident))
 			}
 			var snap []uint64
-			for _, q := range s.Queues() {
+			for _, q := range s.Queues(nil) {
 				snap = append(snap, q.Seqs...)
 			}
 			slices.Sort(snap)
@@ -137,7 +137,7 @@ func TestOoOQueuesSnapshot(t *testing.T) {
 		var granted []*UOp
 		s.Issue(1, ctx(func(u *UOp) bool { return u.Seq() == 1 }, &granted))
 		s.Dispatch(mkUOp(4, isa.OpIntALU, 0), 0)
-		q := s.Queues()[0]
+		q := s.Queues(nil)[0]
 		want := []uint64{2, 3, 4}
 		if !oldestFirst {
 			want = []uint64{4, 2, 3} // seq 4 took the freed slot 0

@@ -220,9 +220,11 @@ type Scheduler interface {
 	// the figure harnesses (steering outcomes, issue sources, ...).
 	Counters() map[string]uint64
 	// Queues exposes the internal queue state for the invariant auditor
-	// and the deadlock autopsy. The snapshots must cover every buffered
-	// μop exactly once (their total length equals Occupancy()).
-	Queues() []QueueSnapshot
+	// and the deadlock autopsy: it fills dst[:0] (see NextQueue) and
+	// returns it, so a caller that passes its last result back audits
+	// without allocating. The snapshots must cover every buffered μop
+	// exactly once (their total length equals Occupancy()).
+	Queues(dst []QueueSnapshot) []QueueSnapshot
 }
 
 // NoWake is the Wake result of a scheduler that waits only on pipeline
@@ -239,6 +241,20 @@ type QueueSnapshot struct {
 	FIFO bool
 	Cap  int
 	Seqs []uint64
+}
+
+// NextQueue extends qs by one snapshot with the given header and returns
+// it for filling; the snapshot's Seqs keeps the storage an earlier call
+// left in that element, truncated to zero length.
+func NextQueue(qs []QueueSnapshot, name string, fifo bool, capacity int) ([]QueueSnapshot, *QueueSnapshot) {
+	if len(qs) < cap(qs) {
+		qs = qs[:len(qs)+1]
+	} else {
+		qs = append(qs, QueueSnapshot{})
+	}
+	q := &qs[len(qs)-1]
+	q.Name, q.FIFO, q.Cap, q.Seqs = name, fifo, capacity, q.Seqs[:0]
+	return qs, q
 }
 
 // ProbeKind identifies a scheduler-internal event reported through a

@@ -286,7 +286,7 @@ func NewMachine(arch Arch, width int, opt Options) (*Machine, error) {
 	case ArchFXA:
 		m.NumPIQs = 0
 		m.Factory = func(rn *rename.Renamer, _ *mdp.MDP) sched.Scheduler {
-			return sched.NewFXA(wp.fxaIQ, wp.issue, rn)
+			return sched.NewFXA(wp.fxaIQ, wp.issue)
 		}
 	case ArchBallerino:
 		n := numPIQs - 1 // one in-order IQ becomes the S-IQ (Table II)

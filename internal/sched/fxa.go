@@ -12,7 +12,6 @@ import (
 // conventional out-of-order IQ.
 type FXA struct {
 	backend  *OoO
-	rn       *rename.Renamer
 	ixuDepth uint64 // pipeline stages in the IXU
 	width    int
 
@@ -42,10 +41,9 @@ func ixuEligible(op isa.Op) bool {
 
 // NewFXA builds FXA with a backendCap-entry out-of-order IQ (Table II:
 // half the baseline) and a 3-stage IXU.
-func NewFXA(backendCap, width int, rn *rename.Renamer) *FXA {
+func NewFXA(backendCap, width int) *FXA {
 	return &FXA{
 		backend:  NewOoO(backendCap, width, false),
-		rn:       rn,
 		ixuDepth: 3,
 		width:    width,
 		ixu:      make([]ixuOp, 0, 64),
@@ -67,10 +65,7 @@ func (s *FXA) Occupancy() int { return s.backend.Occupancy() + len(s.ixu) }
 func (s *FXA) Dispatch(u *UOp, cycle uint64) bool {
 	ready := rename.NeverReady
 	if ixuEligible(u.D.Op) {
-		ready = s.rn.ReadyAt(u.Src[0])
-		if r2 := s.rn.ReadyAt(u.Src[1]); r2 > ready {
-			ready = r2
-		}
+		ready = u.SrcReady
 		// The μop flows through the IXU stages; it can execute at the
 		// first stage where its operands have arrived, up to ixuDepth
 		// cycles after dispatch.

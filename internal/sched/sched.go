@@ -182,7 +182,8 @@ type Scheduler interface {
 	Name() string
 	// Capacity returns the total scheduling-window entries.
 	Capacity() int
-	// Dispatch offers a renamed μop in program order. It returns false
+	// Dispatch offers a renamed μop, its SrcReady set, in program
+	// order. It returns false
 	// when the scheduler cannot accept it this cycle (dispatch stalls);
 	// a refusal's charges recur every stalled cycle, so they are
 	// recorded for Tick.

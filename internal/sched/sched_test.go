@@ -230,8 +230,7 @@ func TestCASINODispatchStallsWhenFirstQueueFull(t *testing.T) {
 }
 
 func TestFXACapturesReadyALUOps(t *testing.T) {
-	rn := rename.MustNew(rename.DefaultConfig())
-	s := NewFXA(16, 8, rn)
+	s := NewFXA(16, 8)
 	u := mkUOp(0, isa.OpIntALU, 0) // PhysNone sources: ready immediately
 	if !s.Dispatch(u, 10) {
 		t.Fatal("dispatch refused")
@@ -247,8 +246,7 @@ func TestFXACapturesReadyALUOps(t *testing.T) {
 }
 
 func TestFXASendsLoadsToBackend(t *testing.T) {
-	rn := rename.MustNew(rename.DefaultConfig())
-	s := NewFXA(16, 8, rn)
+	s := NewFXA(16, 8)
 	s.Dispatch(mkUOp(0, isa.OpLoad, 2), 0)
 	if s.Counters()["backend_execs"] != 1 {
 		t.Error("load not routed to the back-end IQ")
@@ -256,12 +254,9 @@ func TestFXASendsLoadsToBackend(t *testing.T) {
 }
 
 func TestFXASendsNonReadyToBackend(t *testing.T) {
-	rn := rename.MustNew(rename.DefaultConfig())
-	s := NewFXA(16, 8, rn)
-	// Allocate a physical register that is never ready.
-	_, dst, _, _ := rn.Rename(&isa.DynInst{Op: isa.OpIntALU, Dst: isa.R(1)})
+	s := NewFXA(16, 8)
 	u := mkUOp(1, isa.OpIntALU, 0)
-	u.Src[0] = dst
+	u.SrcReady = rename.NeverReady // a producer has not issued
 	s.Dispatch(u, 0)
 	if s.Counters()["backend_execs"] != 1 {
 		t.Error("non-ready ALU op captured by the IXU")
@@ -269,8 +264,7 @@ func TestFXASendsNonReadyToBackend(t *testing.T) {
 }
 
 func TestFXAFlush(t *testing.T) {
-	rn := rename.MustNew(rename.DefaultConfig())
-	s := NewFXA(16, 8, rn)
+	s := NewFXA(16, 8)
 	s.Dispatch(mkUOp(0, isa.OpIntALU, 0), 0)
 	s.Dispatch(mkUOp(1, isa.OpLoad, 2), 0)
 	s.Flush(0)

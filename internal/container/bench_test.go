@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkSelect measures the oldest-first pick over a 64-entry window —
-// the per-cycle core of every scheduler's select stage — comparing the
-// compacting ring walk OoO-oldest uses against the insertion sort over an
-// occupancy bitmap it replaced. The hot-loop CI gate archives this output.
+// the per-cycle core of every age-ordered select — comparing a compacting
+// ring walk against the insertion sort over an occupancy bitmap it
+// replaced. The hot-loop CI gate archives this output.
 func BenchmarkSelect(b *testing.B) {
 	const entries = 64
 	const width = 8
@@ -20,7 +20,7 @@ func BenchmarkSelect(b *testing.B) {
 	}
 
 	b.Run("oldest-first", func(b *testing.B) {
-		// OoO-oldest's walk: the whole compacting queue from the head,
+		// An oldest-first walk: the whole compacting queue from the head,
 		// granting the ready entries (even seqs) until width, then
 		// stopping; dispatch refills the tail in program order.
 		r := &Ring[seqInt]{}

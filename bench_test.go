@@ -3,6 +3,7 @@ package ballerino_test
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -262,6 +263,7 @@ func BenchmarkTopdownPairs(b *testing.B) {
 	timed := func(topdown bool) float64 {
 		c := cfg
 		c.Topdown = topdown
+		runtime.GC() // neither side pays for the other's garbage
 		start := time.Now()
 		if err := runSim(c); err != nil {
 			b.Fatal(err)

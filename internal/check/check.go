@@ -205,7 +205,12 @@ func (a *Auditor) Check(s Source) error {
 	}
 
 	// --- Scheduler queue discipline and residency ---
-	a.buffered = append(a.buffered[:0], make([]bool, n)...)
+	if cap(a.buffered) < n {
+		a.buffered = make([]bool, n)
+	} else {
+		a.buffered = a.buffered[:n]
+		clear(a.buffered)
+	}
 	total := 0
 	a.queues = s.Scheduler().Queues(a.queues)
 	for _, q := range a.queues {

@@ -92,13 +92,8 @@ type Ballerino struct {
 
 	siq  container.Ring[*sched.UOp]
 	piqs []piq
-	// idle[i], when after the current cycle, is when one of P-IQ i's
-	// heads can next be ready (piq.dataWait): until then the queue stalls
-	// on data every cycle, handing its head to the other partition when
-	// idleSwitch[i], and select tallies it without examining it. Any
-	// change to the queue or to a ready cycle in it clears idle[i].
-	idle       []uint64
-	idleSwitch []bool
+	// idle[i] parks P-IQ i while every head it can examine waits on data.
+	idle []parked
 
 	events sched.EnergyEvents
 	ports  sched.PortMask
@@ -136,6 +131,17 @@ type Ballerino struct {
 	epoch, stuck uint64
 }
 
+// parked is a P-IQ's parking: until is when one of its heads can next be
+// ready (piq.dataWait), 0 when the queue is not parked. Until then the
+// queue stalls on data every cycle, handing its head to the other
+// partition when switches, and select tallies it without examining it.
+// A new head in the queue, a flush or a ready cycle filled in for one of
+// its μops unparks it.
+type parked struct {
+	until    uint64
+	switches bool
+}
+
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
 // empty, P-IQ heads held by a predicted M-dependence, P-IQ heads waiting
 // on data or on a port granted to another head, and an S-IQ window
@@ -153,8 +159,8 @@ func New(cfg Config, rn *rename.Renamer, m *mdp.MDP) *Ballerino {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	b := &Ballerino{cfg: cfg, rn: rn, mdp: m, piqs: make([]piq, cfg.NumPIQs), epoch: 1,
-		idle: make([]uint64, cfg.NumPIQs), idleSwitch: make([]bool, cfg.NumPIQs)}
+	b := &Ballerino{cfg: cfg, rn: rn, mdp: m, piqs: make([]piq, cfg.NumPIQs),
+		idle: make([]parked, cfg.NumPIQs), epoch: 1}
 	b.siq.Init(cfg.SIQSize)
 	for i := range b.piqs {
 		b.piqs[i].init(cfg.PIQDepth)
@@ -216,7 +222,7 @@ func (b *Ballerino) Woken(u *sched.UOp) {
 		i := u.Slot / b.cfg.PIQDepth
 		q := &b.piqs[i]
 		q.at[u.Slot-q.id] = u.SrcReady
-		b.idle[i] = 0
+		b.idle[i].until = 0
 	}
 }
 
@@ -244,15 +250,16 @@ func (b *Ballerino) Issue(cycle uint64, ctx *sched.IssueCtx) {
 // issuePIQHeads examines each P-IQ's active dependence heads: a granted
 // head is popped, any other stalls in place.
 func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
+	waiting := ctx.Waiting
 	for i := range b.piqs {
-		if b.idle[i] > cycle {
+		if idle := &b.idle[i]; idle.until > cycle {
 			b.cur.dep++
-			if b.idleSwitch[i] {
+			if idle.switches {
 				b.piqs[i].switchHead, b.switching = true, true
 			}
-			if ctx.Waiting != nil {
+			if waiting != nil {
 				q := &b.piqs[i]
-				ctx.Waiting(q.headOf(q.active))
+				waiting(q.headOf(q.active))
 			}
 			continue
 		}
@@ -281,7 +288,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		}
 		b.switching = b.switching || q.switchHead
 		if !issuedAny && !b.cfg.Options.IdealSharing {
-			b.idle[i], b.idleSwitch[i] = q.dataWait(cycle), q.switchHead
+			b.idle[i] = parked{until: q.dataWait(cycle), switches: q.switchHead}
 		}
 		if b.probe != nil && wasSharing && !q.sharing {
 			b.probe(sched.ProbePIQMerge, cycle, 0, i)
@@ -503,8 +510,10 @@ func (b *Ballerino) steer(u *sched.UOp, cycle uint64) bool {
 // enqueue appends u to partition part of P-IQ iq and publishes the
 // producer location to the P-SCB (and, for stores, the LFST).
 func (b *Ballerino) enqueue(iq, part int, u *sched.UOp) {
+	if b.piqs[iq].parts[part].count == 0 {
+		b.idle[iq].until = 0 // u is a new head
+	}
 	b.piqs[iq].append(part, u)
-	b.idle[iq] = 0
 	b.epoch++
 	b.events.QueueWrites++
 	code := locCode(iq, part)

@@ -110,14 +110,6 @@ func (s *InO) Queues(dst []QueueSnapshot) []QueueSnapshot {
 	return qs
 }
 
-// appendSeqs appends r's sequence numbers, head first, to seqs.
-func appendSeqs(seqs []uint64, r *container.Ring[*UOp]) []uint64 {
-	for i := 0; i < r.Len(); i++ {
-		seqs = append(seqs, r.At(i).Seq())
-	}
-	return seqs
-}
-
 // Energy implements Scheduler.
 func (s *InO) Energy() EnergyEvents { return s.events }
 

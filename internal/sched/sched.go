@@ -10,6 +10,7 @@
 package sched
 
 import (
+	"repro/internal/container"
 	"repro/internal/isa"
 	"repro/internal/rename"
 )
@@ -256,6 +257,14 @@ func NextQueue(qs []QueueSnapshot, name string, fifo bool, capacity int) ([]Queu
 	q := &qs[len(qs)-1]
 	q.Name, q.FIFO, q.Cap, q.Seqs = name, fifo, capacity, q.Seqs[:0]
 	return qs, q
+}
+
+// appendSeqs appends r's sequence numbers, head first, to seqs.
+func appendSeqs(seqs []uint64, r *container.Ring[*UOp]) []uint64 {
+	for i := 0; i < r.Len(); i++ {
+		seqs = append(seqs, r.At(i).Seq())
+	}
+	return seqs
 }
 
 // ProbeKind identifies a scheduler-internal event reported through a

@@ -16,9 +16,11 @@ import (
 // violations and a fault plan's flush storms, with latency jitter) come
 // in varied sequences, and checks every skipped μop against the consult
 // it replaced: select may skip a μop without a consult only while one of
-// its register sources is not ready, and a consulted μop's SrcReady must
-// be the scoreboard's. A wakeup that is lost, late or filed under the
-// wrong register fails here before it moves a digest.
+// its register sources is not ready or its predicted store still holds
+// it, it may consult a μop only once neither does, and a consulted μop's
+// SrcReady must be the one the scoreboard and the store queue give. A
+// wakeup that is lost, late or filed under the wrong register or store
+// fails here before it moves a digest.
 func TestWakeupDifferential(t *testing.T) {
 	for _, arch := range config.AllArchs() {
 		for _, seed := range []uint64{3, 8, 21, 34, 55} {

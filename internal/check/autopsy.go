@@ -23,7 +23,9 @@ type UOpState struct {
 	// "p9@cycle+40", "p3@never", "-").
 	SrcReady [2]string
 	// MDPWait is the store sequence number the μop waits for (mdp.NoStore
-	// if none); MDPBlockedSince is the first cycle that wait refused issue.
+	// if none); MDPBlockedSince is the cycle the wait was filed on that
+	// store, the μop's dispatch (0 if the store had issued or left the SQ
+	// by then).
 	MDPWait         uint64
 	MDPBlockedSince uint64
 }
@@ -32,7 +34,7 @@ type UOpState struct {
 type MDPWaitState struct {
 	LoadSeq      uint64
 	StoreSeq     uint64
-	BlockedSince uint64 // 0 = the wait never refused an issue attempt
+	BlockedSince uint64 // the cycle the wait was filed; 0 = never filed
 	StoreInROB   bool
 }
 

@@ -133,10 +133,10 @@ type Ballerino struct {
 
 // parked is a P-IQ's parking: until is when one of its heads can next be
 // ready (piq.dataWait), 0 when the queue is not parked. Until then the
-// queue stalls on data every cycle, handing its head to the other
-// partition when switches, and select tallies it without examining it.
-// A new head in the queue, a flush or a ready cycle filled in for one of
-// its μops unparks it.
+// queue stalls every cycle, handing its head to the other partition when
+// switches, and select tallies its active head as waitingHead does,
+// without offering it. A new head in the queue, a flush or a ready cycle
+// filled in for one of its μops unparks it.
 type parked struct {
 	until    uint64
 	switches bool
@@ -250,20 +250,15 @@ func (b *Ballerino) Issue(cycle uint64, ctx *sched.IssueCtx) {
 // issuePIQHeads examines each P-IQ's active dependence heads: a granted
 // head is popped, any other stalls in place.
 func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
-	waiting := ctx.Waiting
 	for i := range b.piqs {
+		q := &b.piqs[i]
 		if idle := &b.idle[i]; idle.until > cycle {
-			b.cur.dep++
+			b.waitingHead(q, q.parts[q.active].slot(0), ctx, portUsed)
 			if idle.switches {
-				b.piqs[i].switchHead, b.switching = true, true
-			}
-			if waiting != nil {
-				q := &b.piqs[i]
-				waiting(q.headOf(q.active))
+				q.switchHead, b.switching = true, true
 			}
 			continue
 		}
-		q := &b.piqs[i]
 		if q.len() == 0 {
 			b.cur.empty++
 			continue
@@ -296,10 +291,10 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 	}
 }
 
-// waitingHead tallies a P-IQ head whose register sources are not ready
-// yet as examineHead tallies one the consult refuses, reading the μop
-// only to tell a port taken by another head from a predicted memory
-// dependence, and for top-down's blame.
+// waitingHead tallies a P-IQ head that a producer wait holds as
+// examineHead tallies one it does not grant, reading the μop only to tell
+// a port taken by another head from a predicted memory dependence, and
+// for top-down's blame.
 func (b *Ballerino) waitingHead(q *piq, pos int, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	if q.mdep[pos] && !portUsed.Used(q.buf[pos].Port) {
 		b.cur.mdep++

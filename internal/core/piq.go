@@ -19,9 +19,9 @@ type piq struct {
 	buf []*sched.UOp
 	cap int
 	// at and mdep mirror each buffered μop's SrcReady and whether it has
-	// a predicted memory dependence, so a head whose register sources are
-	// not ready stalls without its μop being read. id is the queue's
-	// first UOp.Slot value: a μop at buffer position i has Slot id+i.
+	// a predicted memory dependence, so a head that a producer wait holds
+	// stalls without its μop being read. id is the queue's first UOp.Slot
+	// value: a μop at buffer position i has Slot id+i.
 	at   []uint64
 	mdep []bool
 	id   int
@@ -107,7 +107,7 @@ func (q *piq) put(i int, u *sched.UOp) {
 	u.Slot = q.id + i
 }
 
-// headOf returns the μop at the head of partition part.
+// headOf returns the μop at the head of partition part (test convenience).
 func (q *piq) headOf(partIdx int) *sched.UOp {
 	p := &q.parts[partIdx]
 	return q.buf[p.slot(0)]
@@ -155,9 +155,9 @@ func (q *piq) activeHeadsInto(ideal bool, dst *[2]int) int {
 }
 
 // dataWait returns the first cycle one of the partition heads can be
-// ready when every non-empty partition's head waits on its register
-// sources with no predicted memory dependence, else 0. Until then, a
-// queue examined one head per cycle stalls on data in every cycle.
+// ready when a producer wait (register or predicted store) holds every
+// non-empty partition's head, else 0. Until then, a queue examined one
+// head per cycle stalls on data in every cycle.
 func (q *piq) dataWait(now uint64) uint64 {
 	w := uint64(0)
 	for pi := range q.parts {
@@ -166,7 +166,7 @@ func (q *piq) dataWait(now uint64) uint64 {
 			continue
 		}
 		pos := p.slot(0)
-		if q.at[pos] <= now || q.mdep[pos] {
+		if q.at[pos] <= now {
 			return 0
 		}
 		if w == 0 || q.at[pos] < w {

@@ -378,6 +378,12 @@ type Pipeline struct {
 	// (waker), refreshes its copy.
 	deps  []*sched.UOp
 	waker sched.Waker
+	// storeWaiters does the same for predicted memory dependences: the
+	// dispatched μops held by an in-flight store that has not issued,
+	// linked through UOp.MDPNext, at the store's seq modulo the ROB ring's
+	// size. In-flight μops hold consecutive seqs, at most ROBSize of them,
+	// so no two in-flight stores share an entry.
+	storeWaiters []*sched.UOp
 
 	// warmupCycles/warmupCommits record the state at the end of Warmup so
 	// reported statistics cover only the measured region.
@@ -488,6 +494,7 @@ func New(cfg Config, trace []isa.DynInst, mk SchedulerFactory) (*Pipeline, error
 	p.rob.init(cfg.ROBSize)
 	p.decodeQ.init(cfg.DecodeQueue)
 	p.deps = make([]*sched.UOp, cfg.Rename.IntRegs+cfg.Rename.FpRegs)
+	p.storeWaiters = make([]*sched.UOp, len(p.rob.buf))
 	p.issueCtx = sched.IssueCtx{Ready: p.ready, Grant: p.grant}
 	p.sched = mk(rn, m)
 	if p.sched == nil {
@@ -641,9 +648,8 @@ func (p *Pipeline) grantTD(u *sched.UOp) {
 // whatever actually blocks it. (Schedulers check the port before
 // readiness, so u's readiness is unknown here; the extra ready() call
 // only runs with accounting attached, for a μop whose SrcReady has come,
-// and not at all once the cycle's blame is settled. It is idempotent —
-// its only side effect, MDPBlockedSince, is the first-refused cycle the
-// deadlock autopsy reports.)
+// and not at all once the cycle's blame is settled. It changes no
+// machine state.)
 func (p *Pipeline) portBlockedTD(u *sched.UOp) {
 	if p.td.Settled() {
 		return
@@ -655,8 +661,8 @@ func (p *Pipeline) portBlockedTD(u *sched.UOp) {
 	}
 }
 
-// waitingTD blames a μop select skipped because its register sources are
-// not ready yet, as readyTD blames the consult that would have refused it.
+// waitingTD blames a μop select skipped because a producer wait holds it,
+// as noteBlocked blamed the consult that refused such a μop.
 func (p *Pipeline) waitingTD(u *sched.UOp) {
 	if !p.td.Settled() {
 		p.noteBlocked(u)
@@ -1149,40 +1155,18 @@ func (p *Pipeline) squash(u *sched.UOp, rec rename.Entry) {
 
 // --- Issue / execute ---
 
-// mdpResolved reports whether u's predicted producer store has issued.
+// mdpResolved reports whether u's predicted producer store no longer
+// holds it, for top-down's blame: memReady has come.
 func (p *Pipeline) mdpResolved(u *sched.UOp) bool {
-	if u.MDPWait == mdp.NoStore {
-		return true
-	}
-	st := p.lsq.StoreBySeq(u.MDPWait)
-	if st == nil {
-		return true // the store issued & committed, or was squashed
-	}
-	// The wait clears the cycle after the store's grant: the LFST release
-	// propagates through the select logic, so an M-dependent μop cannot
-	// be granted in the same cycle.
-	return st.Issued && st.IssueCycle < p.cycle
+	ready, _ := p.memReady(u)
+	return ready <= p.cycle
 }
 
-// ready is the readiness consult: whether u can issue this cycle.
+// ready is the readiness consult for a μop whose SrcReady has come: every
+// producer wait is over, so only a busy non-pipelined unit refuses it.
 func (p *Pipeline) ready(u *sched.UOp) bool {
 	p.consults++
-	if !p.rn.FastReady(u.Src[0]) || !p.rn.FastReady(u.Src[1]) {
-		return false
-	}
-	if u.D.Op.IsMem() && !p.mdpResolved(u) {
-		// Honouring the wait cannot deadlock: every wait (register, FIFO
-		// position, LFST) targets a strictly older μop, so the oldest
-		// blocked μop always has an executing producer.
-		if u.MDPBlockedSince == 0 {
-			u.MDPBlockedSince = p.cycle
-		}
-		return false
-	}
-	if !sched.Pipelined(u.D.Op) && p.divBusyUntil[u.Port] > p.cycle {
-		return false
-	}
-	return true
+	return sched.Pipelined(u.D.Op) || p.divBusyUntil[u.Port] <= p.cycle
 }
 
 func (p *Pipeline) issue() {
@@ -1200,8 +1184,8 @@ func (p *Pipeline) grant(u *sched.UOp) {
 	p.stats.Issued++
 	p.portInflight[u.Port]--
 	// When u's operands became available (the dispatch→ready component
-	// of the delay breakdowns).
-	u.ReadyCycle = max(u.DispatchCycle, u.SrcReady)
+	// of the delay breakdowns); a memory wait's end is not counted.
+	u.ReadyCycle = max(u.DispatchCycle, p.regReady(u))
 
 	lat := sched.Latency(u.D.Op)
 	if !sched.Pipelined(u.D.Op) {
@@ -1217,6 +1201,7 @@ func (p *Pipeline) grant(u *sched.UOp) {
 		if p.cfg.UseMDP {
 			p.mdp.StoreIssued(u.SSID, u.Seq())
 		}
+		p.wakeMem(u)
 	}
 
 	if p.inj != nil {
@@ -1240,20 +1225,67 @@ func (p *Pipeline) grant(u *sched.UOp) {
 	}
 }
 
-// srcReady is the cycle both of u's register sources are available, or
+// srcReady is u's SrcReady: the later of the cycle both its register
+// sources are available and the end of its memory wait, or
 // rename.NeverReady while a producer has not issued.
 func (p *Pipeline) srcReady(u *sched.UOp) uint64 {
+	mem, _ := p.memReady(u)
+	return max(p.regReady(u), mem)
+}
+
+// regReady is the cycle both of u's register sources are available, or
+// rename.NeverReady while a producer has not issued.
+func (p *Pipeline) regReady(u *sched.UOp) uint64 {
 	return max(p.rn.ReadyAt(u.Src[0]), p.rn.ReadyAt(u.Src[1]))
 }
 
+// memReady returns the cycle u's predicted memory dependence stops holding
+// it:
+//   - 0 without a prediction, or once the store has left the SQ
+//     (committed, or squashed);
+//   - the cycle after the store's grant: the LFST release propagates
+//     through the select logic, so an M-dependent μop cannot be granted
+//     in the same cycle;
+//   - rename.NeverReady while the store has not issued; the store is
+//     returned too, to file u on.
+//
+// Honouring the wait cannot deadlock: every wait (register, FIFO
+// position, LFST) targets a strictly older μop, so the oldest blocked μop
+// always has an executing producer.
+func (p *Pipeline) memReady(u *sched.UOp) (uint64, *sched.UOp) {
+	if u.MDPWait == mdp.NoStore {
+		return 0, nil
+	}
+	switch st := p.lsq.StoreBySeq(u.MDPWait); {
+	case st == nil:
+		return 0, nil
+	case st.Issued:
+		return st.IssueCycle + 1, nil
+	default:
+		return rename.NeverReady, st
+	}
+}
+
 // addWaiter files a dispatched μop whose SrcReady is unknown under each
-// source whose producer has not issued.
-func (p *Pipeline) addWaiter(u *sched.UOp) {
+// source whose producer has not issued and, when st is non-nil, on its
+// predicted store st, which has not issued either.
+func (p *Pipeline) addWaiter(u, st *sched.UOp) {
 	for i, s := range u.Src {
 		if p.rn.ReadyAt(s) == rename.NeverReady && (i == 0 || s != u.Src[0]) {
 			u.WaitNext[i], p.deps[s] = p.deps[s], u
 		}
 	}
+	if st != nil {
+		head := p.waitersOf(st.Seq())
+		u.MDPNext, *head = *head, u
+		u.MDPBlockedSince = p.cycle
+	}
+}
+
+// waitersOf returns the head of the waiter list of the in-flight store
+// with the given seq.
+func (p *Pipeline) waitersOf(seq uint64) **sched.UOp {
+	return &p.storeWaiters[seq&uint64(p.rob.mask)]
 }
 
 // waitLink returns the link that threads u into r's waiter list.
@@ -1281,7 +1313,26 @@ func (p *Pipeline) wake(r rename.PhysReg) {
 	}
 }
 
-// dropWaiter unlinks a squashed μop from the dependents index.
+// wakeMem fills in the SrcReady of the μops filed on store st, granted
+// this cycle: their memory wait clears next cycle, so each is ready at the
+// later of that and its register-ready cycle.
+func (p *Pipeline) wakeMem(st *sched.UOp) {
+	head := p.waitersOf(st.Seq())
+	u := *head
+	*head = nil
+	for u != nil {
+		next := u.MDPNext
+		u.MDPNext = nil
+		u.SrcReady = max(p.regReady(u), p.cycle+1)
+		if u.SrcReady != rename.NeverReady && p.waker != nil {
+			p.waker.Woken(u)
+		}
+		u = next
+	}
+}
+
+// dropWaiter unlinks a squashed μop from the dependents index and from
+// its predicted store's waiter list.
 func (p *Pipeline) dropWaiter(u *sched.UOp) {
 	for i, s := range u.Src {
 		if s == rename.PhysNone || (i == 1 && s == u.Src[0]) {
@@ -1293,6 +1344,16 @@ func (p *Pipeline) dropWaiter(u *sched.UOp) {
 				u.WaitNext[i] = nil
 				break
 			}
+		}
+	}
+	if u.MDPBlockedSince == 0 {
+		return // never filed on a store
+	}
+	for link := p.waitersOf(u.MDPWait); *link != nil; link = &(*link).MDPNext {
+		if *link == u {
+			*link = u.MDPNext
+			u.MDPNext = nil
+			return
 		}
 	}
 }
@@ -1336,19 +1397,21 @@ func (p *Pipeline) dispatch() {
 				return
 			}
 		}
-		u.SrcReady = p.srcReady(u)
+		// Each attempt looks the predicted store up once: a store granted
+		// while u stalled here has set the end of its wait.
+		mem, st := p.memReady(u)
+		u.SrcReady = max(p.regReady(u), mem)
 		if !p.sched.Dispatch(u, p.cycle) {
 			p.dispatchStall(u, topdown.StallIQ)
 			return
 		}
 		if u.SrcReady == rename.NeverReady {
-			p.addWaiter(u)
+			p.addWaiter(u, st)
 		}
 		// Accepted: enter ROB and LSQ. Push before popping the decode slot
 		// (de points into the ring's storage).
 		p.busy = true
 		u.DispatchCycle = p.cycle
-		u.ROB = p.rob.n
 		p.rob.push(robEntry{u: u, rec: de.rec})
 		p.lsq.Insert(u)
 		p.decodeQ.popFront()

@@ -49,21 +49,23 @@ type UOp struct {
 	// Memory dependence prediction state (loads and stores).
 	SSID    int32
 	MDPWait uint64 // dynamic seq of the store to wait for; mdp.NoStore if none
-	// MDPBlockedSince is the first cycle its predicted memory dependence
-	// refused this μop issue (0 = never refused), which the deadlock
-	// autopsy reports.
+	// MDPBlockedSince is the cycle the pipeline filed this μop on its
+	// predicted store's waiter list, which is its dispatch (0 = never
+	// filed: no wait, or the store had issued or left the SQ by then). The
+	// deadlock autopsy reports it.
 	MDPBlockedSince uint64
 
-	// ROB slot, owned by the pipeline.
-	ROB int
 	// Slot is the μop's position in a scheduler that mirrors ready cycles
 	// in an array of its own (see Waker), owned by that scheduler.
 	Slot int
 
-	// SrcReady is the cycle both register sources are available through
-	// the bypass network, or rename.NeverReady while a producer has not
-	// issued. The pipeline sets it at dispatch and fills it in when the
-	// last producer is granted; select skips the μop until then.
+	// SrcReady is the cycle from which every producer wait is over: both
+	// register sources are available through the bypass network, and a
+	// predicted memory dependence has cleared, the cycle after its store's
+	// grant. It is rename.NeverReady while a register producer or the
+	// store has not issued. The pipeline sets it at dispatch and fills it
+	// in when the last producer is granted; select skips the μop until
+	// then.
 	SrcReady uint64
 
 	// Timestamps (cycles).
@@ -94,8 +96,10 @@ type UOp struct {
 	// WaitNext holds the pipeline-owned intrusive links threading this
 	// μop into the dependents index: WaitNext[i] is the next μop waiting
 	// on the producer of Src[i] (one link when both sources name the same
-	// register).
+	// register). MDPNext threads it into its predicted store's waiter
+	// list until the store is granted.
 	WaitNext [2]*UOp
+	MDPNext  *UOp
 
 	// WheelNext is the pipeline-owned intrusive link threading this μop
 	// into its completion-wheel bucket. A μop has at most one pending
@@ -141,10 +145,9 @@ func (e *EnergyEvents) Add(other EnergyEvents) {
 type IssueCtx struct {
 	// Now is the cycle being issued.
 	Now uint64
-	// Ready is the readiness consult: whether u can issue this cycle —
-	// all renamed sources available through the bypass network, any
-	// predicted memory dependence resolved, and u's functional unit free.
-	// Schedulers consult it only for μops whose SrcReady has come.
+	// Ready is the readiness consult: whether u can issue this cycle.
+	// Schedulers consult it only once u's SrcReady has come, so only a
+	// busy non-pipelined functional unit can refuse it.
 	Ready func(u *UOp) bool
 	// Grant issues u this cycle. The scheduler must respect one grant per
 	// issue port per cycle.
@@ -156,15 +159,16 @@ type IssueCtx struct {
 	// (FU contention when u was otherwise ready) for the CPI stack.
 	PortBlocked func(u *UOp)
 	// Waiting, when non-nil, reports that the scheduler skipped u without
-	// a consult because its register sources are not ready yet (SrcReady
-	// after Now). Like PortBlocked it is set only while topdown accounting
-	// is attached, and it blames the lost slot as a refused consult would.
+	// a consult because a register source or its predicted store is not
+	// ready yet (SrcReady after Now). Like PortBlocked it is set only
+	// while topdown accounting is attached, and it blames the lost slot as
+	// a refused consult would.
 	Waiting func(u *UOp)
 }
 
 // CanIssue reports whether u can issue this cycle: false without a
-// consult while u's register sources are not ready (reported through
-// Waiting), else the Ready consult.
+// consult while a producer wait holds u (reported through Waiting), else
+// the Ready consult.
 func (c *IssueCtx) CanIssue(u *UOp) bool {
 	if u.SrcReady > c.Now {
 		if c.Waiting != nil {

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/container"
 	"repro/internal/isa"
@@ -124,11 +125,36 @@ type Ballerino struct {
 	cur, prev        stalls
 	switching, moved bool
 
-	// epoch counts changes to what steering's search for an empty or
-	// shareable P-IQ reads: P-IQ contents, modes and last-cycle issue
-	// flags. stuck is the epoch at which that search last failed, so a
-	// stalled S-IQ window does not repeat it until a P-IQ changes.
-	epoch, stuck uint64
+	// free and share are the P-IQs steering can open for a new dependence
+	// chain: the empty ones, and those activateSharing would split or
+	// reuse a partition of (unless ideal, only those whose head did not
+	// issue last cycle). refresh keeps a queue's bits current wherever its
+	// contents, mode or last-cycle issue flag change.
+	free, share piqSet
+}
+
+// piqSet is a set of P-IQ indices, one bit each.
+type piqSet []uint64
+
+func newPIQSet(n int) piqSet { return make(piqSet, (n+63)/64) }
+
+// put adds i to s when in is true, else removes it.
+func (s piqSet) put(i int, in bool) {
+	if in {
+		s[i>>6] |= 1 << (i & 63)
+	} else {
+		s[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// first returns the lowest index in s, or -1 when s is empty.
+func (s piqSet) first() int {
+	for w, word := range s {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // parked is a P-IQ's parking: until is when one of its heads can next be
@@ -160,14 +186,22 @@ func New(cfg Config, rn *rename.Renamer, m *mdp.MDP) *Ballerino {
 		panic(err)
 	}
 	b := &Ballerino{cfg: cfg, rn: rn, mdp: m, piqs: make([]piq, cfg.NumPIQs),
-		idle: make([]parked, cfg.NumPIQs), epoch: 1}
+		idle: make([]parked, cfg.NumPIQs), free: newPIQSet(cfg.NumPIQs), share: newPIQSet(cfg.NumPIQs)}
 	b.siq.Init(cfg.SIQSize)
 	for i := range b.piqs {
 		b.piqs[i].init(cfg.PIQDepth)
 		b.piqs[i].id = i * cfg.PIQDepth
 		b.piqs[i].names = [2]string{fmt.Sprintf("P-IQ%d.0", i), fmt.Sprintf("P-IQ%d.1", i)}
+		b.refresh(i)
 	}
 	return b
+}
+
+// refresh recomputes P-IQ i's steering bits (see free and share).
+func (b *Ballerino) refresh(i int) {
+	q, o := &b.piqs[i], &b.cfg.Options
+	b.free.put(i, q.len() == 0)
+	b.share.put(i, (o.Sharing || o.IdealSharing) && (o.IdealSharing || !q.lastIssued) && q.canShare(o.IdealSharing))
 }
 
 // Name implements sched.Scheduler.
@@ -279,7 +313,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		wasSharing, lastIssued := q.sharing, q.lastIssued
 		q.endCyclePolicy(issuedAny, b.cfg.Options.AlwaysSwitchHead)
 		if issuedAny || q.lastIssued != lastIssued || q.sharing != wasSharing {
-			b.epoch++
+			b.refresh(i)
 		}
 		b.switching = b.switching || q.switchHead
 		if !issuedAny && !b.cfg.Options.IdealSharing {
@@ -457,49 +491,37 @@ func (b *Ballerino) steer(u *sched.UOp, cycle uint64) bool {
 		}
 	}
 
-	// 3) New dependence head: an empty P-IQ — unless this search failed
-	// already and no P-IQ changed since.
-	if b.stuck == b.epoch {
-		return false
-	}
-	for i := range b.piqs {
-		if b.piqs[i].len() == 0 {
-			b.enqueue(i, 0, u)
-			b.allocEmpty++
-			if b.probe != nil {
-				b.probe(sched.ProbeSteerNewChain, cycle, u.Seq(), i)
-			}
-			return true
+	// 3) New dependence head: the first empty P-IQ.
+	if i := b.free.first(); i >= 0 {
+		b.enqueue(i, 0, u)
+		b.allocEmpty++
+		if b.probe != nil {
+			b.probe(sched.ProbeSteerNewChain, cycle, u.Seq(), i)
 		}
+		return true
 	}
 
-	// 4) Sharing mode (Step 3): split an eligible P-IQ. Prefer queues
-	// whose head did not issue last cycle — their read port was idle, so
-	// sharing costs the resident chain nothing (§III-C: sharing targets
-	// chains stalled on long-latency loads). The ideal variant shares any
-	// queue.
-	if b.cfg.Options.Sharing || b.cfg.Options.IdealSharing {
-		for i := range b.piqs {
-			if !b.cfg.Options.IdealSharing && b.piqs[i].lastIssued {
-				continue
-			}
-			wasSharing := b.piqs[i].sharing
-			if part, ok := b.piqs[i].activateSharing(b.cfg.Options.IdealSharing); ok {
-				b.shareActs++
-				b.enqueue(i, part, u)
-				b.allocShared++
-				if b.probe != nil {
-					if !wasSharing {
-						b.probe(sched.ProbePIQSplit, cycle, u.Seq(), i)
-					}
-					b.probe(sched.ProbePIQShare, cycle, u.Seq(), i)
-				}
-				return true
-			}
-		}
+	// 4) Sharing mode (Step 3): split the first eligible P-IQ. Only queues
+	// whose head did not issue last cycle are eligible — their read port
+	// was idle, so sharing costs the resident chain nothing (§III-C:
+	// sharing targets chains stalled on long-latency loads). The ideal
+	// variant shares any queue.
+	i := b.share.first()
+	if i < 0 {
+		return false
 	}
-	b.stuck = b.epoch
-	return false
+	wasSharing := b.piqs[i].sharing
+	part, _ := b.piqs[i].activateSharing(b.cfg.Options.IdealSharing)
+	b.shareActs++
+	b.enqueue(i, part, u)
+	b.allocShared++
+	if b.probe != nil {
+		if !wasSharing {
+			b.probe(sched.ProbePIQSplit, cycle, u.Seq(), i)
+		}
+		b.probe(sched.ProbePIQShare, cycle, u.Seq(), i)
+	}
+	return true
 }
 
 // enqueue appends u to partition part of P-IQ iq and publishes the
@@ -509,7 +531,7 @@ func (b *Ballerino) enqueue(iq, part int, u *sched.UOp) {
 		b.idle[iq].until = 0 // u is a new head
 	}
 	b.piqs[iq].append(part, u)
-	b.epoch++
+	b.refresh(iq)
 	b.events.QueueWrites++
 	code := locCode(iq, part)
 	if u.Dst != rename.PhysNone {
@@ -527,11 +549,11 @@ func (b *Ballerino) Complete(rename.PhysReg, uint64) {}
 
 // Flush implements sched.Scheduler.
 func (b *Ballerino) Flush(seq uint64) {
-	b.epoch++
 	clear(b.idle)
 	b.siq.FlushFrom(seq)
 	for i := range b.piqs {
 		b.piqs[i].flushFrom(seq)
+		b.refresh(i)
 	}
 }
 

@@ -325,3 +325,43 @@ func TestAlwaysSwitchHeadOption(t *testing.T) {
 		t.Errorf("granted %d of 4 with forced switching", len(granted))
 	}
 }
+
+// TestSteeringBeyond64PIQs: steering's sets of empty and shareable P-IQs
+// span more than one 64-bit word. With 70 P-IQs and chains that never
+// issue, the first 70 chains take P-IQs 0–69 in order, the next 64 split
+// P-IQs 0–63, and the one after that splits P-IQ 64.
+func TestSteeringBeyond64PIQs(t *testing.T) {
+	cfg := testConfig(Options{Sharing: true})
+	cfg.NumPIQs, cfg.SIQWindow = 70, 8
+	b := New(cfg, rename.MustNew(rename.DefaultConfig()), mdp.New(mdp.DefaultConfig()))
+	const chains = 70 + 64 + 1
+	var granted []*sched.UOp
+	seq := uint64(0)
+	for cycle := uint64(1); b.Occupancy() < chains || b.siq.Len() > 0; cycle++ {
+		for seq < chains && b.Dispatch(mkUOp(seq, isa.OpIntALU, int(seq%8)), cycle) {
+			seq++
+		}
+		b.Issue(cycle, issueCtx(never, &granted))
+		b.Tick(1)
+		if cycle > chains {
+			t.Fatalf("cycle %d: %d chains steered, counters %v", cycle, b.Occupancy()-b.siq.Len(), b.Counters())
+		}
+	}
+	c := b.Counters()
+	if c["alloc_empty"] != 70 || c["alloc_shared"] != 65 || c["steer_stalls"] != 0 {
+		t.Fatalf("alloc_empty %d, alloc_shared %d, steer_stalls %d; want 70, 65, 0",
+			c["alloc_empty"], c["alloc_shared"], c["steer_stalls"])
+	}
+	want := map[string][]uint64{"P-IQ64.0": {64}, "P-IQ69.0": {69}, "P-IQ63.1": {133}, "P-IQ64.1": {134}, "P-IQ65.0": {65}}
+	for _, q := range b.Queues(nil) {
+		if w, ok := want[q.Name]; ok {
+			if len(q.Seqs) != len(w) || q.Seqs[0] != w[0] {
+				t.Errorf("%s holds %v, want %v", q.Name, q.Seqs, w)
+			}
+			delete(want, q.Name)
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("queues missing from the snapshot: %v", want)
+	}
+}

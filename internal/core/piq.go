@@ -236,6 +236,14 @@ func (q *piq) shareable() bool {
 	return first/half == last/half && first <= last
 }
 
+// canShare reports whether activateSharing would open a partition.
+func (q *piq) canShare(ideal bool) bool {
+	if q.sharing {
+		return q.parts[0].count == 0 || q.parts[1].count == 0
+	}
+	return q.shareable() || ideal && q.parts[0].count <= q.cap/2
+}
+
 // activateSharing tries to open a partition for a new dependence chain.
 // It returns the partition index to append into. In sharing mode an
 // already-drained partition is reused directly.

@@ -297,7 +297,11 @@ func TestManifestDefaultPath(t *testing.T) {
 // the measured cycles, and the canonical manifest drops the block. An
 // audited run without warm-up audits once per stepped cycle, and consults
 // readiness at least once per committed μop: every grant follows a
-// consult.
+// consult. On store-load, whose loads wait on their predicted stores, the
+// out-of-order and clustered designs consult at most 1.1 times per
+// committed μop: a μop held by its store is not consulted before the
+// store's grant, so a lost wakeup that falls back to polling shows in a
+// count that cannot flake.
 func TestManifestEngineCounters(t *testing.T) {
 	dir := t.TempDir()
 	base := ballerino.Config{Arch: "OoO", Workload: "pointer-chase", MaxOps: 800, WarmupOps: 200}
@@ -348,6 +352,23 @@ func TestManifestEngineCounters(t *testing.T) {
 		}
 		if cfg.WarmupOps == 0 && e.Consults < res.Committed {
 			t.Errorf("%s: %d readiness consults for %d committed μops, want at least one each", tc.name, e.Consults, res.Committed)
+		}
+	}
+
+	sl := ballerino.Config{Workload: "store-load", MaxOps: 30_000, Width: 8}
+	if sl.Trace, err = ballerino.PrepareTrace(context.Background(), sl); err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []string{"OoO", "FXA", "CES", "CASINO"} {
+		cfg := sl
+		cfg.Arch = arch
+		res, err := ballerino.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s/store-load: %v", arch, err)
+		}
+		if c := res.Manifest.Engine.Consults; 10*c > 11*res.Committed {
+			t.Errorf("%s/store-load: %d readiness consults for %d committed μops (%.2f each), want at most 1.1 each",
+				arch, c, res.Committed, float64(c)/float64(res.Committed))
 		}
 	}
 }

@@ -160,12 +160,14 @@ func (s piqSet) first() int {
 // parked is a P-IQ's parking: until is when one of its heads can next be
 // ready (piq.dataWait), 0 when the queue is not parked. Until then the
 // queue stalls every cycle, handing its head to the other partition when
-// switches, and select tallies its active head as waitingHead does,
-// without offering it. A new head in the queue, a flush or a ready cycle
-// filled in for one of its μops unparks it.
+// switches, and select tallies it without offering its head: as a stall
+// on data, unless mdep records that a head has a predicted memory
+// dependence, whose tally depends on this cycle's grants (waitingHead). A
+// new head in the queue, a flush or a ready cycle filled in for one of its
+// μops unparks it.
 type parked struct {
-	until    uint64
-	switches bool
+	until          uint64
+	switches, mdep bool
 }
 
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
@@ -287,7 +289,11 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 	for i := range b.piqs {
 		q := &b.piqs[i]
 		if idle := &b.idle[i]; idle.until > cycle {
-			b.waitingHead(q, q.parts[q.active].slot(0), ctx, portUsed)
+			if idle.mdep || ctx.Waiting != nil {
+				b.waitingHead(q, q.parts[q.active].slot(0), ctx, portUsed)
+			} else {
+				b.cur.dep++
+			}
 			if idle.switches {
 				q.switchHead, b.switching = true, true
 			}
@@ -317,7 +323,8 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		}
 		b.switching = b.switching || q.switchHead
 		if !issuedAny && !b.cfg.Options.IdealSharing {
-			b.idle[i] = parked{until: q.dataWait(cycle), switches: q.switchHead}
+			until, mdep := q.dataWait(cycle)
+			b.idle[i] = parked{until: until, switches: q.switchHead, mdep: mdep}
 		}
 		if b.probe != nil && wasSharing && !q.sharing {
 			b.probe(sched.ProbePIQMerge, cycle, 0, i)

@@ -156,10 +156,10 @@ func (q *piq) activeHeadsInto(ideal bool, dst *[2]int) int {
 
 // dataWait returns the first cycle one of the partition heads can be
 // ready when a producer wait (register or predicted store) holds every
-// non-empty partition's head, else 0. Until then, a queue examined one
-// head per cycle stalls on data in every cycle.
-func (q *piq) dataWait(now uint64) uint64 {
-	w := uint64(0)
+// non-empty partition's head, else 0; until then, a queue examined one
+// head per cycle stalls in every cycle. mdep reports that one of those
+// heads has a predicted memory dependence.
+func (q *piq) dataWait(now uint64) (until uint64, mdep bool) {
 	for pi := range q.parts {
 		p := &q.parts[pi]
 		if p.count == 0 {
@@ -167,13 +167,14 @@ func (q *piq) dataWait(now uint64) uint64 {
 		}
 		pos := p.slot(0)
 		if q.at[pos] <= now {
-			return 0
+			return 0, false
 		}
-		if w == 0 || q.at[pos] < w {
-			w = q.at[pos]
+		if until == 0 || q.at[pos] < until {
+			until = q.at[pos]
 		}
+		mdep = mdep || q.mdep[pos]
 	}
-	return w
+	return until, mdep
 }
 
 // activeHeads is activeHeadsInto as a slice (test convenience).

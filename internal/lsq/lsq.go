@@ -104,8 +104,9 @@ func remove(s []*sched.UOp, u *sched.UOp) []*sched.UOp {
 
 // StoreBySeq returns the in-flight store with the given sequence number,
 // or nil if it has left the queue (committed or squashed). The SQ is in
-// program order (ascending seq), so this is a binary search — it sits on
-// the issue-readiness path of every M-dependent memory μop, every cycle.
+// program order (ascending seq), so this is a binary search. The pipeline
+// looks an M-dependent μop's predicted store up when it dispatches (and
+// when a register producer wakes it), not on every cycle it waits.
 func (q *Queues) StoreBySeq(seq uint64) *sched.UOp {
 	lo, hi := 0, len(q.sq)
 	for lo < hi {

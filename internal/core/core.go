@@ -333,11 +333,11 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 }
 
 // waitingHead tallies a P-IQ head that a producer wait holds as
-// examineHead tallies one it does not grant, reading the μop only to tell
-// a port taken by another head from a predicted memory dependence, and
-// for top-down's blame.
+// examineHead tallies one it does not grant (a head with a predicted
+// memory dependence stalls on it unless another head took its port),
+// reading the μop only for top-down's blame.
 func (b *Ballerino) waitingHead(q *piq, pos int, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
-	if q.mdep[pos] && !portUsed.Used(q.buf[pos].Port) {
+	if p := q.mdepPort[pos]; p >= 0 && !portUsed.Used(int(p)) {
 		b.cur.mdep++
 	} else {
 		b.cur.dep++

@@ -18,13 +18,14 @@ import (
 type piq struct {
 	buf []*sched.UOp
 	cap int
-	// at and mdep mirror each buffered μop's SrcReady and whether it has
-	// a predicted memory dependence, so a head that a producer wait holds
-	// stalls without its μop being read. id is the queue's first UOp.Slot
-	// value: a μop at buffer position i has Slot id+i.
-	at   []uint64
-	mdep []bool
-	id   int
+	// at and mdepPort mirror each buffered μop's SrcReady and, when it
+	// has a predicted memory dependence, its issue port (else -1), so a
+	// head that a producer wait holds stalls without its μop being read.
+	// id is the queue's first UOp.Slot value: a μop at buffer position i
+	// has Slot id+i.
+	at       []uint64
+	mdepPort []int8
+	id       int
 	// names are the partitions' queue-snapshot names.
 	names [2]string
 
@@ -54,7 +55,7 @@ func (q *piq) init(capacity int) {
 	}
 	q.buf = make([]*sched.UOp, capacity)
 	q.at = make([]uint64, capacity)
-	q.mdep = make([]bool, capacity)
+	q.mdepPort = make([]int8, capacity)
 	q.cap = capacity
 	q.scratch = make([]*sched.UOp, capacity/2)
 	q.reset()
@@ -103,7 +104,10 @@ func (q *piq) append(partIdx int, u *sched.UOp) {
 
 // put stores u at buffer position i with its mirrored fields.
 func (q *piq) put(i int, u *sched.UOp) {
-	q.buf[i], q.at[i], q.mdep[i] = u, u.SrcReady, u.MDPWait != mdp.NoStore
+	q.buf[i], q.at[i], q.mdepPort[i] = u, u.SrcReady, -1
+	if u.MDPWait != mdp.NoStore {
+		q.mdepPort[i] = int8(u.Port)
+	}
 	u.Slot = q.id + i
 }
 
@@ -172,7 +176,7 @@ func (q *piq) dataWait(now uint64) (until uint64, mdep bool) {
 		if until == 0 || q.at[pos] < until {
 			until = q.at[pos]
 		}
-		mdep = mdep || q.mdep[pos]
+		mdep = mdep || q.mdepPort[pos] >= 0
 	}
 	return until, mdep
 }

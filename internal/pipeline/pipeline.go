@@ -1256,7 +1256,14 @@ func (p *Pipeline) memReady(u *sched.UOp) (uint64, *sched.UOp) {
 	if u.MDPWait == mdp.NoStore {
 		return 0, nil
 	}
-	switch st := p.lsq.StoreBySeq(u.MDPWait); {
+	return p.storeReady(u.MDPWait)
+}
+
+// storeReady is memReady for a μop predicted to wait on the store with
+// the given seq; memReady stays small enough to inline for the μops that
+// wait on none.
+func (p *Pipeline) storeReady(seq uint64) (uint64, *sched.UOp) {
+	switch st := p.lsq.StoreBySeq(seq); {
 	case st == nil:
 		return 0, nil
 	case st.Issued:

@@ -120,10 +120,11 @@ type Ballerino struct {
 
 	// cur holds this cycle's per-cycle charges for Tick, prev the last
 	// cycle's: a shared P-IQ alternates its examined head, so quiet
-	// cycles repeat the two in turn. switching records that some P-IQ
-	// hands its head to the other partition; moved, a steered μop.
-	cur, prev        stalls
-	switching, moved bool
+	// cycles repeat the two in turn. switching holds the P-IQs that hand
+	// their head to the other partition; moved records a steered μop.
+	cur, prev stalls
+	switching piqSet
+	moved     bool
 
 	// free and share are the P-IQs steering can open for a new dependence
 	// chain: the empty ones, and those activateSharing would split or
@@ -160,14 +161,14 @@ func (s piqSet) first() int {
 // parked is a P-IQ's parking: until is when one of its heads can next be
 // ready (piq.dataWait), 0 when the queue is not parked. Until then the
 // queue stalls every cycle, handing its head to the other partition when
-// switches, and select tallies it without offering its head: as a stall
-// on data, unless mdep records that a head has a predicted memory
-// dependence, whose tally depends on this cycle's grants (waitingHead). A
+// switches, and select tallies its active head without reading the queue
+// as waitingHead would: port[k] is partition k's mdepPort at its head. A
 // new head in the queue, a flush or a ready cycle filled in for one of its
 // μops unparks it.
 type parked struct {
-	until          uint64
-	switches, mdep bool
+	until    uint64
+	switches bool
+	port     [2]int8
 }
 
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
@@ -188,7 +189,8 @@ func New(cfg Config, rn *rename.Renamer, m *mdp.MDP) *Ballerino {
 		panic(err)
 	}
 	b := &Ballerino{cfg: cfg, rn: rn, mdp: m, piqs: make([]piq, cfg.NumPIQs),
-		idle: make([]parked, cfg.NumPIQs), free: newPIQSet(cfg.NumPIQs), share: newPIQSet(cfg.NumPIQs)}
+		idle: make([]parked, cfg.NumPIQs), switching: newPIQSet(cfg.NumPIQs),
+		free: newPIQSet(cfg.NumPIQs), share: newPIQSet(cfg.NumPIQs)}
 	b.siq.Init(cfg.SIQSize)
 	for i := range b.piqs {
 		b.piqs[i].init(cfg.PIQDepth)
@@ -289,13 +291,14 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 	for i := range b.piqs {
 		q := &b.piqs[i]
 		if idle := &b.idle[i]; idle.until > cycle {
-			if idle.mdep || ctx.Waiting != nil {
+			if ctx.Waiting != nil {
 				b.waitingHead(q, q.parts[q.active].slot(0), ctx, portUsed)
 			} else {
-				b.cur.dep++
+				b.tallyHeld(idle.port[q.active], portUsed)
 			}
 			if idle.switches {
-				q.switchHead, b.switching = true, true
+				q.switchHead = true
+				b.switching.put(i, true)
 			}
 			continue
 		}
@@ -321,10 +324,12 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		if issuedAny || q.lastIssued != lastIssued || q.sharing != wasSharing {
 			b.refresh(i)
 		}
-		b.switching = b.switching || q.switchHead
+		if q.switchHead {
+			b.switching.put(i, true)
+		}
 		if !issuedAny && !b.cfg.Options.IdealSharing {
-			until, mdep := q.dataWait(cycle)
-			b.idle[i] = parked{until: until, switches: q.switchHead, mdep: mdep}
+			until, port := q.dataWait(cycle)
+			b.idle[i] = parked{until: until, switches: q.switchHead, port: port}
 		}
 		if b.probe != nil && wasSharing && !q.sharing {
 			b.probe(sched.ProbePIQMerge, cycle, 0, i)
@@ -337,13 +342,20 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 // memory dependence stalls on it unless another head took its port),
 // reading the μop only for top-down's blame.
 func (b *Ballerino) waitingHead(q *piq, pos int, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
-	if p := q.mdepPort[pos]; p >= 0 && !portUsed.Used(int(p)) {
+	b.tallyHeld(q.mdepPort[pos], portUsed)
+	if ctx.Waiting != nil {
+		ctx.Waiting(q.buf[pos])
+	}
+}
+
+// tallyHeld tallies a held P-IQ head by its mdepPort: a stall on its
+// predicted memory dependence, or on data when it has none or another
+// head took its port.
+func (b *Ballerino) tallyHeld(port int8, portUsed *sched.PortMask) {
+	if port >= 0 && !portUsed.Used(int(port)) {
 		b.cur.mdep++
 	} else {
 		b.cur.dep++
-	}
-	if ctx.Waiting != nil {
-		ctx.Waiting(q.buf[pos])
 	}
 }
 
@@ -422,13 +434,14 @@ func (b *Ballerino) Tick(n uint64) {
 	if n > 1 {
 		b.charge(b.prev, n/2)
 	}
-	if b.switching {
-		for i := range b.piqs {
-			b.piqs[i].tick(n)
+	for w, word := range b.switching {
+		for ; word != 0; word &= word - 1 {
+			b.piqs[w<<6+bits.TrailingZeros64(word)].tick(n)
 		}
+		b.switching[w] = 0
 	}
 	b.prev, b.cur = b.cur, stalls{}
-	b.switching, b.moved = false, false
+	b.moved = false
 }
 
 // Wake implements sched.Scheduler: a μop steered this cycle is examined

@@ -161,9 +161,10 @@ func (q *piq) activeHeadsInto(ideal bool, dst *[2]int) int {
 // dataWait returns the first cycle one of the partition heads can be
 // ready when a producer wait (register or predicted store) holds every
 // non-empty partition's head, else 0; until then, a queue examined one
-// head per cycle stalls in every cycle. mdep reports that one of those
-// heads has a predicted memory dependence.
-func (q *piq) dataWait(now uint64) (until uint64, mdep bool) {
+// head per cycle stalls in every cycle. port holds each partition's
+// mdepPort at its head (-1 for an empty partition).
+func (q *piq) dataWait(now uint64) (until uint64, port [2]int8) {
+	port = [2]int8{-1, -1}
 	for pi := range q.parts {
 		p := &q.parts[pi]
 		if p.count == 0 {
@@ -171,14 +172,14 @@ func (q *piq) dataWait(now uint64) (until uint64, mdep bool) {
 		}
 		pos := p.slot(0)
 		if q.at[pos] <= now {
-			return 0, false
+			return 0, port
 		}
 		if until == 0 || q.at[pos] < until {
 			until = q.at[pos]
 		}
-		mdep = mdep || q.mdepPort[pos] >= 0
+		port[pi] = q.mdepPort[pos]
 	}
-	return until, mdep
+	return until, port
 }
 
 // activeHeads is activeHeadsInto as a slice (test convenience).

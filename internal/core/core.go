@@ -162,13 +162,14 @@ func (s piqSet) first() int {
 // ready (piq.dataWait), 0 when the queue is not parked. Until then the
 // queue stalls every cycle, handing its head to the other partition when
 // switches, and select tallies its active head without reading the queue
-// as waitingHead would: port[k] is partition k's mdepPort at its head. A
-// new head in the queue, a flush or a ready cycle filled in for one of its
-// μops unparks it.
+// as waitingHead would: a stall on data unless mdep records that a head
+// has a predicted memory dependence, and then by port[k], partition k's
+// mdepPort at its head. A new head in the queue, a flush or a ready cycle
+// filled in for one of its μops unparks it.
 type parked struct {
-	until    uint64
-	switches bool
-	port     [2]int8
+	until          uint64
+	switches, mdep bool
+	port           [2]int8
 }
 
 // stalls tallies one cycle's examinations that did not issue: P-IQs found
@@ -291,10 +292,13 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 	for i := range b.piqs {
 		q := &b.piqs[i]
 		if idle := &b.idle[i]; idle.until > cycle {
-			if ctx.Waiting != nil {
+			switch {
+			case ctx.Waiting != nil:
 				b.waitingHead(q, q.parts[q.active].slot(0), ctx, portUsed)
-			} else {
+			case idle.mdep:
 				b.tallyHeld(idle.port[q.active], portUsed)
+			default:
+				b.cur.dep++
 			}
 			if idle.switches {
 				q.switchHead = true
@@ -329,7 +333,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		}
 		if !issuedAny && !b.cfg.Options.IdealSharing {
 			until, port := q.dataWait(cycle)
-			b.idle[i] = parked{until: until, switches: q.switchHead, port: port}
+			b.idle[i] = parked{until: until, switches: q.switchHead, mdep: port != [2]int8{-1, -1}, port: port}
 		}
 		if b.probe != nil && wasSharing && !q.sharing {
 			b.probe(sched.ProbePIQMerge, cycle, 0, i)

@@ -50,8 +50,8 @@ func (b *Batch) FirstErr() error {
 }
 
 // RunAll executes every configuration as one campaign on a bounded worker
-// pool: the parallel substrate under cmd/sweep, cmd/experiments and
-// internal/bench. (The telemetry service runs each job on its own, through
+// pool: the parallel substrate under cmd/sweep, cmd/ballsim -compare and
+// cmd/experiments. (The telemetry service runs each job on its own, through
 // TraceCache.Prepare and RunContext.) Guarantees:
 //
 //   - Results[i] always belongs to cfgs[i], whatever order runs finish in.

@@ -173,7 +173,7 @@ const overheadOps = 50_000
 // running the mixed kernel. It generates the trace once, before
 // b.ResetTimer, and injects it through Config.Trace, so the timed loop is
 // simulation alone: sim runs b.N times on that config and the variant
-// reports simulated μops/s, the metric the CI topdown gate reads.
+// reports simulated μops/s.
 func benchOverhead(b *testing.B, sim func(cfg ballerino.Config) error) {
 	b.Helper()
 	cfg := ballerino.Config{Arch: "Ballerino", Workload: "mixed", MaxOps: overheadOps}
@@ -222,21 +222,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			cfg.TracePath = filepath.Join(dir, "bench.trace.json")
 			cfg.EventsPath = filepath.Join(dir, "bench.events.jsonl")
 			cfg.MetricsPath = filepath.Join(dir, "bench.metrics.csv")
-			return runSim(cfg)
-		})
-	})
-}
-
-// BenchmarkTopdownOverhead measures the cost of CPI-stack cycle accounting
-// on the simulation: "off" runs with no engine (the issue path keeps its
-// original closures), "on" attaches it (per-cycle scalar bookkeeping plus
-// blame classification on blocked μops). BenchmarkTopdownPairs is the
-// gate's measurement.
-func BenchmarkTopdownOverhead(b *testing.B) {
-	b.Run("off", func(b *testing.B) { benchOverhead(b, runSim) })
-	b.Run("on", func(b *testing.B) {
-		benchOverhead(b, func(cfg ballerino.Config) error {
-			cfg.Topdown = true
 			return runSim(cfg)
 		})
 	})

@@ -11,10 +11,9 @@ type Seqer interface {
 const maxSelectWindow = 512
 
 // Ring is a fixed-capacity FIFO backed by a circular buffer. It is the
-// storage behind every age-ordered queue on the hot path (the InO issue
-// queue, CES P-IQs, the CASINO cascade, Ballerino's S-IQ, and the
-// oldest-first OoO queue): Push/PopFront are O(1) with no allocation and
-// no slice creep, and FlushFrom truncates the young tail in place exactly
+// storage behind the InO issue queue, the CES P-IQs, the CASINO cascade
+// and Ballerino's S-IQ: Push/PopFront are O(1) with no allocation and no
+// slice creep, and FlushFrom truncates the young tail in place exactly
 // like the slice-based queues it replaces.
 // Vacated slots are zeroed so recycled entries are never reachable through
 // a stale queue slot.

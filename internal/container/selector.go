@@ -5,9 +5,9 @@
 // Selection speaks one vocabulary: a visit callback examines entries
 // oldest-first and answers with a Verdict. This is the software shape of a
 // select circuit — entries raise requests, the grant logic picks winners in
-// priority order — and every age-ordered select picks through it: InO's
-// head-sequential issue, the OoO oldest-first compacting queue, the CASINO
-// cascade windows, and Ballerino's S-IQ window and P-IQ heads.
+// priority order — and the ring's age-ordered selects pick through it:
+// InO's head-sequential issue, the CASINO cascade windows and its in-order
+// IQ, and Ballerino's S-IQ window.
 package container
 
 // Verdict is a visit callback's decision about one examined entry.

@@ -31,7 +31,7 @@ func CheckWakeups(p *Pipeline, bad func(u *sched.UOp, why string)) (skips, consu
 		}
 		grant(u)
 	}
-	regsReady := func(u *sched.UOp) bool { return p.rn.FastReady(u.Src[0]) && p.rn.FastReady(u.Src[1]) }
+	regsReady := func(u *sched.UOp) bool { return p.rn.Ready(u.Src[0], p.cycle) && p.rn.Ready(u.Src[1], p.cycle) }
 	p.issueCtx.Waiting = func(u *sched.UOp) {
 		*skips++
 		if regsReady(u) && p.mdpResolved(u) {
@@ -63,4 +63,11 @@ func CheckWakeups(p *Pipeline, bad func(u *sched.UOp, why string)) (skips, consu
 		return ready(u)
 	}
 	return skips, consults
+}
+
+// mdpResolved reports whether u's predicted store no longer holds it:
+// memReady has come.
+func (p *Pipeline) mdpResolved(u *sched.UOp) bool {
+	ready, _ := p.memReady(u)
+	return ready <= p.cycle
 }

@@ -23,10 +23,9 @@ import (
 // only when a behavioural change is intended and reviewed.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden digests")
 
-// goldenWorkloads is the tier-1 micro set (the same arch × workload grid as
-// bench.DefaultConfigs): every scheduler shape the paper compares, over
-// kernels exercising streaming, dependent loads, store-to-load traffic and
-// branches.
+// goldenWorkloads is the tier-1 micro set: every scheduler shape the paper
+// compares, over kernels exercising streaming, dependent loads,
+// store-to-load traffic and branches.
 var goldenWorkloads = []string{"stream", "pointer-chase", "store-load", "branchy"}
 
 const (

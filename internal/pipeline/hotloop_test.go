@@ -130,8 +130,9 @@ func steadyStateAllocs(t *testing.T, attach func(*testing.T, *pipeline.Pipeline)
 }
 
 // BenchmarkHotLoop measures end-to-end simulation throughput per scheduler
-// over the tier-1 micro workloads (the bench.DefaultConfigs kernel spread),
-// reporting simulated μops per wall-clock second.
+// over the tier-1 micro workloads (goldenWorkloads' kernel spread),
+// reporting simulated μops per wall-clock second. The CI hot-loop gate
+// runs it in interleaved pairs against the base commit.
 func BenchmarkHotLoop(b *testing.B) {
 	const ops = 30_000
 	wls := []string{"stream", "pointer-chase", "store-load", "branchy"}

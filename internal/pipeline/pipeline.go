@@ -129,87 +129,50 @@ type robEntry struct {
 	rec rename.Entry
 }
 
-// robRing is the reorder buffer: a preallocated power-of-two ring of ROB
-// entries. The logical capacity (cfg.ROBSize) is enforced by the dispatch
-// stage; the ring only provides creep-free storage.
-type robRing struct {
-	buf  []robEntry
+// ring is a preallocated power-of-two ring, the storage of the reorder
+// buffer and the decode queue. Each stage enforces its logical capacity
+// (cfg.ROBSize, cfg.DecodeQueue); the ring only provides creep-free
+// storage.
+type ring[T any] struct {
+	buf  []T
 	mask int
 	head int
 	n    int
 }
 
-func (r *robRing) init(capacity int) {
+func (r *ring[T]) init(capacity int) {
 	sz := 1
 	for sz < capacity {
 		sz <<= 1
 	}
-	r.buf = make([]robEntry, sz)
+	r.buf = make([]T, sz)
 	r.mask = sz - 1
 }
 
-// at returns the i-th oldest entry (0 = commit head).
-func (r *robRing) at(i int) *robEntry { return &r.buf[(r.head+i)&r.mask] }
+// at returns the i-th oldest entry (0 = head); rename mutates decode
+// entries in place across stalled cycles.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&r.mask] }
 
-func (r *robRing) push(e robEntry) {
+func (r *ring[T]) push(e T) {
 	r.buf[(r.head+r.n)&r.mask] = e
 	r.n++
 }
 
-func (r *robRing) popFront() {
-	r.buf[r.head] = robEntry{}
+func (r *ring[T]) popFront() {
+	var zero T
+	r.buf[r.head] = zero
 	r.head = (r.head + 1) & r.mask
 	r.n--
 }
 
 // truncate drops every entry from logical index cut on (flush recovery),
 // zeroing the vacated slots so squashed μops can be recycled safely.
-func (r *robRing) truncate(cut int) {
+func (r *ring[T]) truncate(cut int) {
+	var zero T
 	for i := r.n - 1; i >= cut; i-- {
-		r.buf[(r.head+i)&r.mask] = robEntry{}
+		r.buf[(r.head+i)&r.mask] = zero
 	}
 	r.n = cut
-}
-
-// decodeRing is the allocation queue between decode and rename: a
-// preallocated power-of-two ring of decodeEntry values (the slice-based
-// queue allocated one record per fetched μop).
-type decodeRing struct {
-	buf  []decodeEntry
-	mask int
-	head int
-	n    int
-}
-
-func (r *decodeRing) init(capacity int) {
-	sz := 1
-	for sz < capacity {
-		sz <<= 1
-	}
-	r.buf = make([]decodeEntry, sz)
-	r.mask = sz - 1
-}
-
-// at returns a pointer to the i-th oldest entry; rename mutates it in
-// place across stalled cycles.
-func (r *decodeRing) at(i int) *decodeEntry { return &r.buf[(r.head+i)&r.mask] }
-
-func (r *decodeRing) push(e decodeEntry) {
-	r.buf[(r.head+r.n)&r.mask] = e
-	r.n++
-}
-
-func (r *decodeRing) popFront() {
-	r.buf[r.head] = decodeEntry{}
-	r.head = (r.head + 1) & r.mask
-	r.n--
-}
-
-func (r *decodeRing) clear() {
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)&r.mask] = decodeEntry{}
-	}
-	r.n = 0
 }
 
 // wheelSpan is the completion wheel's horizon in cycles (a power of two).
@@ -352,10 +315,10 @@ type Pipeline struct {
 	// penalty (branch-recovery blame) from an icache-miss fetch stall
 	// (frontend blame); it is set beside every fetchStallUntil write.
 	fetchStallIsRecovery bool
-	decodeQ              decodeRing
+	decodeQ              ring[decodeEntry]
 
 	// Back end.
-	rob          robRing // in program order; at(0) is the oldest
+	rob          ring[robEntry] // in program order; at(0) is the oldest
 	lsq          *lsq.Queues
 	portInflight []int
 	divBusyUntil []uint64
@@ -623,16 +586,16 @@ func (p *Pipeline) TopdownConservation() (got, want uint64, on bool) {
 	return p.td.Conservation()
 }
 
-// readyTD is ready plus blame classification for examined-but-blocked
-// μops (the scheduler looked at u and moved on). Once the cycle's blame
-// is settled on memory, no later blockage can change it, so
-// classification stops.
+// readyTD is ready plus blame for a refused consult. Select consults only
+// μops whose SrcReady has come, so only a busy non-pipelined unit refuses
+// one: FU contention. Once the cycle's blame is settled on memory, no
+// later blockage can change it, so classification stops.
 func (p *Pipeline) readyTD(u *sched.UOp) bool {
 	if p.ready(u) {
 		return true
 	}
 	if !p.td.Settled() {
-		p.noteBlocked(u)
+		p.td.NoteFUBlock()
 	}
 	return false
 }
@@ -644,38 +607,34 @@ func (p *Pipeline) grantTD(u *sched.UOp) {
 }
 
 // portBlockedTD classifies a μop skipped because its issue port was
-// already granted: FU contention if it was otherwise ready, else
-// whatever actually blocks it. (Schedulers check the port before
-// readiness, so u's readiness is unknown here; the extra ready() call
-// only runs with accounting attached, for a μop whose SrcReady has come,
-// and not at all once the cycle's blame is settled. It changes no
-// machine state.)
+// already granted: FU contention if its SrcReady has come, else the
+// producer wait that holds it. (Schedulers check the port before
+// readiness, so select never consulted u.)
 func (p *Pipeline) portBlockedTD(u *sched.UOp) {
 	if p.td.Settled() {
 		return
 	}
-	if u.SrcReady <= p.cycle && p.ready(u) {
+	if u.SrcReady <= p.cycle {
 		p.td.NoteFUBlock()
 	} else {
 		p.noteBlocked(u)
 	}
 }
 
-// waitingTD blames a μop select skipped because a producer wait holds it,
-// as noteBlocked blamed the consult that refused such a μop.
+// waitingTD blames a μop select skipped because a producer wait holds it.
 func (p *Pipeline) waitingTD(u *sched.UOp) {
 	if !p.td.Settled() {
 		p.noteBlocked(u)
 	}
 }
 
-// noteBlocked attributes a non-ready examined μop to memory (an
-// in-flight-load source or unresolved memory-dependence wait — the
-// load-delay blame rule), plain dependence wait, or a busy
-// non-pipelined unit.
+// noteBlocked blames the producer wait that holds u (its SrcReady has not
+// come): a source whose value is not yet available counts as memory when
+// it is load-dependent (the load-delay blame rule), else as dependence. If
+// both sources are available, u's predicted store holds it: memory.
 func (p *Pipeline) noteBlocked(u *sched.UOp) {
 	for _, s := range u.Src {
-		if p.rn.FastReady(s) {
+		if p.rn.Ready(s, p.cycle) {
 			continue
 		}
 		if p.rn.LoadDep(s) {
@@ -685,11 +644,7 @@ func (p *Pipeline) noteBlocked(u *sched.UOp) {
 		}
 		return
 	}
-	if u.D.Op.IsMem() && !p.mdpResolved(u) {
-		p.td.NoteMemBlock()
-		return
-	}
-	p.td.NoteFUBlock() // non-pipelined unit busy on u's port
+	p.td.NoteMemBlock()
 }
 
 // ObsSnapshot samples the cumulative counters and queue levels for an
@@ -1037,7 +992,6 @@ func (p *Pipeline) processCompletions() {
 			continue
 		}
 		p.sched.Complete(u.Dst, p.cycle)
-		p.rn.MarkReady(u.Dst)
 		if p.events != nil {
 			p.events.Emit(obs.Event{Kind: obs.KindWriteback, Cycle: p.cycle, Seq: u.Seq(),
 				PC: uint64(u.D.PC), Op: u.D.Op, Cls: u.Cls, Port: int16(u.Port)})
@@ -1101,7 +1055,7 @@ func (p *Pipeline) flushFrom(bound uint64) {
 			p.recycle(de.u) // never entered the scheduler, LSQ or wheel
 		}
 	}
-	p.decodeQ.clear()
+	p.decodeQ.truncate(0)
 
 	cut := p.rob.n
 	for i := 0; i < p.rob.n; i++ {
@@ -1154,13 +1108,6 @@ func (p *Pipeline) squash(u *sched.UOp, rec rename.Entry) {
 }
 
 // --- Issue / execute ---
-
-// mdpResolved reports whether u's predicted producer store no longer
-// holds it, for top-down's blame: memReady has come.
-func (p *Pipeline) mdpResolved(u *sched.UOp) bool {
-	ready, _ := p.memReady(u)
-	return ready <= p.cycle
-}
 
 // ready is the readiness consult for a μop whose SrcReady has come: every
 // producer wait is over, so only a busy non-pipelined unit refuses it.

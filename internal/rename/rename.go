@@ -70,15 +70,6 @@ type Renamer struct {
 
 	pscb []pscbEntry
 
-	// ready is a bitmap shadow of the P-SCB Ready flags for "is p ready
-	// right now" queries: bit p is set iff pscb[p].readyAt is at or before
-	// the pipeline's current cycle. Rename clears the destination bit,
-	// Squash restores it, SetReadyAt clears it (availability is always in
-	// the future at issue time), and the pipeline sets it via MarkReady
-	// when the producer's completion event fires — so FastReady is a
-	// single bit test instead of a timestamp compare.
-	ready []uint64
-
 	// Statistics.
 	renames    uint64
 	stallsFree uint64
@@ -91,12 +82,8 @@ func New(cfg Config) (*Renamer, error) {
 		return nil, err
 	}
 	r := &Renamer{cfg: cfg, pscb: make([]pscbEntry, cfg.IntRegs+cfg.FpRegs)}
-	r.ready = make([]uint64, (len(r.pscb)+63)/64)
 	for i := range r.pscb {
 		r.pscb[i] = pscbEntry{readyAt: 0, iqIndex: NoIQ}
-	}
-	for i := range r.ready {
-		r.ready[i] = ^uint64(0)
 	}
 	// Int physical registers occupy [0, IntRegs); fp [IntRegs, IntRegs+FpRegs).
 	for a := 0; a < isa.NumIntRegs; a++ {
@@ -177,7 +164,6 @@ func (r *Renamer) Rename(d *isa.DynInst) (src [2]PhysReg, dst PhysReg, rec Entry
 	rec = Entry{Arch: w, OldPhys: r.rat[w], NewPhys: dst}
 	r.rat[w] = dst
 	r.pscb[dst] = pscbEntry{readyAt: NeverReady, iqIndex: NoIQ}
-	r.ready[uint(dst)>>6] &^= 1 << (uint(dst) & 63)
 	r.renames++
 	return src, dst, rec, true
 }
@@ -200,7 +186,6 @@ func (r *Renamer) Squash(rec Entry) {
 	}
 	r.rat[rec.Arch] = rec.OldPhys
 	r.pscb[rec.NewPhys] = pscbEntry{readyAt: 0, iqIndex: NoIQ}
-	r.ready[uint(rec.NewPhys)>>6] |= 1 << (uint(rec.NewPhys) & 63)
 	r.free(rec.NewPhys)
 }
 
@@ -240,23 +225,6 @@ func (r *Renamer) SetReadyAt(p PhysReg, cycle uint64) {
 	e.readyAt = cycle
 	e.iqIndex = NoIQ
 	e.reserved = false
-	r.ready[uint(p)>>6] &^= 1 << (uint(p) & 63)
-}
-
-// MarkReady sets p's fast-ready bit. The pipeline calls it when the
-// producer's completion event fires — the cycle recorded by SetReadyAt —
-// keeping the bitmap in lockstep with the timestamp view.
-func (r *Renamer) MarkReady(p PhysReg) {
-	if p != PhysNone {
-		r.ready[uint(p)>>6] |= 1 << (uint(p) & 63)
-	}
-}
-
-// FastReady reports Ready(p, now) for the pipeline's current cycle as a
-// single bit test. It is valid only for "now" queries under the pipeline's
-// MarkReady discipline; arbitrary-cycle queries must use Ready.
-func (r *Renamer) FastReady(p PhysReg) bool {
-	return p == PhysNone || r.ready[uint(p)>>6]&(1<<(uint(p)&63)) != 0
 }
 
 // SetLoadDep marks p as (transitively) load-dependent for scheduling-delay

@@ -156,13 +156,13 @@ type IssueCtx struct {
 	// because its issue port was already granted this cycle. It is only
 	// set while the pipeline's topdown cycle accounting is attached —
 	// schedulers must nil-check it — and it classifies the lost slot
-	// (FU contention when u was otherwise ready) for the CPI stack.
+	// (FU contention when u's SrcReady has come) for the CPI stack.
 	PortBlocked func(u *UOp)
 	// Waiting, when non-nil, reports that the scheduler skipped u without
 	// a consult because a register source or its predicted store is not
 	// ready yet (SrcReady after Now). Like PortBlocked it is set only
-	// while topdown accounting is attached, and it blames the lost slot as
-	// a refused consult would.
+	// while topdown accounting is attached, and it blames the lost slot on
+	// the wait that holds u.
 	Waiting func(u *UOp)
 }
 

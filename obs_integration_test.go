@@ -301,7 +301,9 @@ func TestManifestDefaultPath(t *testing.T) {
 // out-of-order and clustered designs consult at most 1.1 times per
 // committed μop: a μop held by its store is not consulted before the
 // store's grant, so a lost wakeup that falls back to polling shows in a
-// count that cannot flake.
+// count that cannot flake. Top-down accounting blames the μops select
+// skips without consulting them, so attaching it leaves the consult count
+// of a mixed run alone.
 func TestManifestEngineCounters(t *testing.T) {
 	dir := t.TempDir()
 	base := ballerino.Config{Arch: "OoO", Workload: "pointer-chase", MaxOps: 800, WarmupOps: 200}
@@ -369,6 +371,26 @@ func TestManifestEngineCounters(t *testing.T) {
 		if c := res.Manifest.Engine.Consults; 10*c > 11*res.Committed {
 			t.Errorf("%s/store-load: %d readiness consults for %d committed μops (%.2f each), want at most 1.1 each",
 				arch, c, res.Committed, float64(c)/float64(res.Committed))
+		}
+	}
+
+	mixed := ballerino.Config{Workload: "mixed", MaxOps: 30_000, Width: 8}
+	if mixed.Trace, err = ballerino.PrepareTrace(context.Background(), mixed); err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []string{"OoO", "CASINO", "Ballerino"} {
+		var consults [2]uint64
+		for i, td := range []bool{false, true} {
+			cfg := mixed
+			cfg.Arch, cfg.Topdown = arch, td
+			res, err := ballerino.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/mixed: %v", arch, err)
+			}
+			consults[i] = res.Manifest.Engine.Consults
+		}
+		if consults[0] != consults[1] {
+			t.Errorf("%s/mixed: %d readiness consults with top-down off, %d with it on, want equal", arch, consults[0], consults[1])
 		}
 	}
 }

@@ -424,7 +424,16 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 			return nil, terr
 		}
 	}
+	// The golden model replays from the kernel's initial memory image and
+	// checks the final state over it; a cached trace rebuilds the image
+	// for this run alone.
 	trace := t.tr
+	if cfg.Audit {
+		var ierr error
+		if trace, ierr = t.withImage(ctx); ierr != nil {
+			return nil, simErr("config", ierr)
+		}
+	}
 	program := trace.Program
 	// Lifecycle span, when the caller threaded one through ctx (the
 	// serving stack does; library callers usually don't, and the nil-safe

@@ -167,23 +167,6 @@ func TestPrepareTraceInjection(t *testing.T) {
 	}
 }
 
-// TestTraceSizeCountsBothImages: a cached trace's share of the LRU
-// budget covers both memory images it holds — the program's initial image
-// and the final state's overlay, the words the run wrote on top of that
-// image. A store-heavy kernel writes much of its footprint, so counting
-// only the initial image under-charges the budget.
-func TestTraceSizeCountsBothImages(t *testing.T) {
-	tc := NewTraceCache(0)
-	tr, err := tc.Prepare(context.Background(), Config{Workload: "stream", MaxOps: 1000, FootprintBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := int64(len(tr.tr.Program.InitMem)+len(tr.tr.Final.Mem)) * mapEntry
-	if got := tc.Stats().BytesUsed; got < images {
-		t.Errorf("BytesUsed = %d, want at least %d for the initial and final memory images", got, images)
-	}
-}
-
 // TestSharedImageConcurrentRuns: executions share their program's memory
 // image instead of copying it. Two concurrent functional executions and an
 // audited run — whose golden model replays every store — all read one map

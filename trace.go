@@ -19,9 +19,22 @@ import (
 // share generations through a TraceCache) and inject it via Config.Trace;
 // any number of concurrent runs may read the same Trace, so N runs over
 // one kernel pay for interpretation once.
+//
+// A trace holds its μop stream, the program it came from and the final
+// architectural state the audited golden model checks against. A
+// TraceCache entry of a catalogue kernel holds them without the kernel's
+// initial memory image, which no plain run reads: its program's InitMem
+// and its final state's Base are nil. The two readers of the image, an
+// audited run and an export, get a copy whose image the catalogue
+// rebuilds for that one use (withImage). PrepareTrace's traces, a trace
+// RunContext generates for itself, imported traces and custom programs'
+// traces keep their image.
 type Trace struct {
 	key string
 	tr  *prog.Trace
+	// imageless marks a trace that dropped its kernel's initial memory
+	// image (withoutImage).
+	imageless bool
 
 	// wl, fp and ops are the workload identity the trace was generated
 	// under — the fields of key, kept unparsed so the exporter can write
@@ -45,21 +58,72 @@ func (t *Trace) Key() string { return t.key }
 
 // Resident-size estimates behind Trace.sizeBytes.
 const (
-	opBytes  = int64(unsafe.Sizeof(isa.DynInst{}))
-	mapEntry = 48 // rough per-entry cost of a map[uint64]int64
+	opBytes = int64(unsafe.Sizeof(isa.DynInst{}))
+	// mapEntry is the heap cost of one word of a map[uint64]int64 built by
+	// insertion. Measured with Go 1.24 on amd64 from 1,024 to 2^20 words:
+	// 23.6–36.1 B/word, the top just after the table doubles at a power of
+	// two (36.1 at 2^18 and 2^19 words, 27.1 at 699,050). The budget
+	// charges the top.
+	mapEntry = 36
 )
 
 // sizeBytes estimates the trace's resident size for the cache budget: the
-// μop stream, the program's initial memory image, and the words written
-// into the final-state oracle retained for golden-model verification.
-// The oracle overlays the initial image (prog.ArchState.Base) rather than
-// copying it, so only its written words are extra.
+// μop stream, the program's initial memory image when the trace holds
+// one, and the words written into the final-state oracle retained for
+// golden-model verification. The oracle overlays the initial image
+// (prog.ArchState.Base) rather than copying it, so only its written words
+// are extra. A cached catalogue kernel's trace holds no initial image and
+// is charged only its μops and its written words.
 func (t *Trace) sizeBytes() int64 {
 	n := int64(len(t.tr.Ops))*opBytes + int64(len(t.tr.Program.InitMem))*mapEntry
 	if t.tr.Final != nil {
 		n += int64(len(t.tr.Final.Mem)) * mapEntry
 	}
 	return n
+}
+
+// withoutImage returns a copy of t that holds no initial memory image,
+// sharing t's μop stream, instructions, registers and final overlay. t
+// must be a catalogue kernel's trace, whose image withImage can rebuild.
+func (t *Trace) withoutImage() *Trace {
+	c := *t
+	c.tr = imaged(t.tr, nil)
+	c.imageless = true
+	return &c
+}
+
+// withImage returns t's program trace with its initial memory image: t's
+// own when t holds one, else a copy whose image the catalogue rebuilds —
+// deterministically, as TestCatalogueGolden pins — under a "trace.image"
+// span, a child of ctx's span. Nothing is stored back on t, which
+// concurrent runs share, so every use pays for its own rebuild.
+func (t *Trace) withImage(ctx context.Context) (*prog.Trace, error) {
+	if !t.imageless {
+		return t.tr, nil
+	}
+	sp := span.FromContext(ctx).Child("trace.image")
+	sp.SetAttr("workload", t.wl)
+	defer sp.End()
+	w, err := workload.ByName(t.wl, workload.Params{Footprint: t.fp})
+	if err != nil {
+		sp.Fail(err)
+		return nil, err
+	}
+	return imaged(t.tr, w.Program.InitMem), nil
+}
+
+// imaged returns a shallow copy of tr whose program and final state take
+// image as their initial memory image.
+func imaged(tr *prog.Trace, image map[uint64]int64) *prog.Trace {
+	p := *tr.Program
+	p.InitMem = image
+	c := &prog.Trace{Program: &p, Ops: tr.Ops}
+	if tr.Final != nil {
+		f := *tr.Final
+		f.Base = image
+		c.Final = &f
+	}
+	return c
 }
 
 // ctxStage classifies a context-ended failure into its SimError stage:
@@ -200,7 +264,8 @@ func prepareResolved(ctx context.Context, rc resolved) (*Trace, error) {
 }
 
 // DefaultTraceCacheBytes is the byte budget a zero-valued cache size
-// selects — enough for dozens of million-μop traces without threatening a
+// selects: about nine million-μop traces (a 1M-μop stream is 56 MB of
+// μops) or about 290 cached 30k-μop traces, without threatening a
 // development machine.
 const DefaultTraceCacheBytes = 512 << 20
 
@@ -244,7 +309,9 @@ func NewTraceCache(budgetBytes int64) *TraceCache {
 // Prepare returns the trace for cfg, generating and caching it on a miss.
 // Identical configurations — same kernel, footprint and dynamic budget —
 // share one cached trace regardless of architecture, width or any other
-// timing-only field.
+// timing-only field. A catalogue kernel's trace is cached without its
+// initial memory image (see Trace); a custom program's keeps the image
+// its caller owns.
 func (tc *TraceCache) Prepare(ctx context.Context, cfg Config) (*Trace, error) {
 	rc, err := cfg.resolve()
 	if err != nil {
@@ -257,6 +324,9 @@ func (tc *TraceCache) Prepare(ctx context.Context, cfg Config) (*Trace, error) {
 		t, err := prepareResolved(ctx, rc)
 		if err != nil {
 			return nil, 0, err
+		}
+		if rc.Custom == nil {
+			t = t.withoutImage()
 		}
 		return t, t.sizeBytes(), nil
 	})

@@ -19,8 +19,15 @@ import (
 // carries the full replay bundle — static program, dynamic μop stream,
 // and the final state the Audit golden model's end-of-run check compares
 // against — plus t's content key, so a re-imported trace dedups
-// byte-stably against an in-memory generation of the same kernel.
+// byte-stably against an in-memory generation of the same kernel. A
+// cached trace, which holds no initial memory image, is written with an
+// image the catalogue rebuilds for the write, so its bytes equal those
+// of PrepareTrace's trace of the same configuration.
 func WriteTrace(w io.Writer, t *Trace) error {
+	tr, err := t.withImage(context.TODO())
+	if err != nil {
+		return &SimError{Stage: "tracefile", Workload: t.wl, Err: err}
+	}
 	h := tracefile.Header{
 		Workload:       t.wl,
 		FootprintBytes: t.fp,
@@ -28,7 +35,7 @@ func WriteTrace(w io.Writer, t *Trace) error {
 		TraceKey:       kernelTraceKey(t.wl, t.fp, t.ops),
 		Generator:      "ballerino",
 	}
-	if err := tracefile.Encode(w, h, t.tr); err != nil {
+	if err := tracefile.Encode(w, h, tr); err != nil {
 		return &SimError{Stage: "tracefile", Workload: t.wl, Err: err}
 	}
 	return nil

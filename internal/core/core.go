@@ -293,7 +293,7 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 		q := &b.piqs[i]
 		if idle := &b.idle[i]; idle.until > cycle {
 			switch {
-			case ctx.Waiting != nil:
+			case ctx.Blocked != nil:
 				b.waitingHead(q, q.parts[q.active].slot(0), ctx, portUsed)
 			case idle.mdep:
 				b.tallyHeld(idle.port[q.active], portUsed)
@@ -344,11 +344,11 @@ func (b *Ballerino) issuePIQHeads(cycle uint64, ctx *sched.IssueCtx, portUsed *s
 // waitingHead tallies a P-IQ head that a producer wait holds as
 // examineHead tallies one it does not grant (a head with a predicted
 // memory dependence stalls on it unless another head took its port),
-// reading the μop only for top-down's blame.
+// reading the μop only to report it passed over.
 func (b *Ballerino) waitingHead(q *piq, pos int, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	b.tallyHeld(q.mdepPort[pos], portUsed)
-	if ctx.Waiting != nil {
-		ctx.Waiting(q.buf[pos])
+	if ctx.Blocked != nil {
+		ctx.Blocked(q.buf[pos])
 	}
 }
 
@@ -367,9 +367,7 @@ func (b *Ballerino) tallyHeld(port int8, portUsed *sched.PortMask) {
 // granted; a head that stalls is tallied for Tick.
 func (b *Ballerino) examineHead(u *sched.UOp, ctx *sched.IssueCtx, portUsed *sched.PortMask) bool {
 	if portUsed.Used(u.Port) {
-		if ctx.PortBlocked != nil {
-			ctx.PortBlocked(u)
-		}
+		ctx.PassOver(u)
 		b.cur.dep++
 		return false
 	}
@@ -398,8 +396,9 @@ func (b *Ballerino) examineHead(u *sched.UOp, ctx *sched.IssueCtx, portUsed *sch
 // dependences. A steering failure stalls the window at that μop.
 func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sched.PortMask) {
 	b.siq.SelectWindow(b.cfg.SIQWindow, func(u *sched.UOp) container.Verdict {
-		ready := ctx.CanIssue(u)
-		if ready && !portUsed.Used(u.Port) {
+		if portUsed.Used(u.Port) {
+			ctx.PassOver(u)
+		} else if ctx.CanIssue(u) {
 			ctx.Grant(u)
 			b.events.QueueReads++
 			b.events.PSCBReads += 2
@@ -408,11 +407,8 @@ func (b *Ballerino) examineSIQ(cycle uint64, ctx *sched.IssueCtx, portUsed *sche
 			b.issuedSIQ++
 			return container.Take
 		}
-		if ready && ctx.PortBlocked != nil {
-			ctx.PortBlocked(u)
-		}
-		// Not ready (or §IV-C case 3: ready but its port is taken):
-		// steer to the P-IQs; a failure blocks the window here.
+		// Not ready (or §IV-C case 3: its port is taken): steer to the
+		// P-IQs; a failure blocks the window here.
 		if b.steer(u, cycle) {
 			b.events.QueueReads++
 			b.events.PSCBReads += 2

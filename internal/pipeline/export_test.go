@@ -11,31 +11,47 @@ import (
 // never skips a quiet one.
 func StepEveryCycle(p *Pipeline) { p.stepOnly = true }
 
-// CheckWakeups holds p's select to its scoreboard and store queue. bad is
-// called for a μop select skipped without a consult although both its
-// register sources were ready and no predicted store held it (the store
-// had left the SQ or was granted before this cycle), and for one it
-// consulted while a source was not ready or its store still held it. A
-// consulted μop's SrcReady must also be the cycle the scoreboard and the
-// SQ give: the later of its sources' ready cycles and the cycle after its
-// store's grant. The hooks replace top-down's, so attach none.
+// CheckWakeups holds p's select to its scoreboard and store queue, and
+// accounts for every μop select passes over. bad is called for a μop
+// consulted while a register source was not ready or its predicted store
+// still held it (the store had not issued, or was granted this cycle),
+// and for a passed-over μop that nothing holds back: one whose SrcReady
+// has not come must have a register source not ready or a store holding
+// it, and one whose SrcReady has come must follow a grant on its port
+// earlier in the same cycle or a refused consult. A consulted μop's
+// SrcReady must also be the cycle the scoreboard and the SQ give: the
+// later of its sources' ready cycles and the cycle after its store's
+// grant. The hooks replace top-down's, so attach none. skips counts the
+// passed-over μops a producer wait holds.
 func CheckWakeups(p *Pipeline, bad func(u *sched.UOp, why string)) (skips, consults *uint64) {
 	skips, consults = new(uint64), new(uint64)
 	// granted holds each store's last grant cycle, for a μop whose store
-	// has since committed and left the SQ.
+	// has since committed and left the SQ; portGrant each port's last
+	// grant cycle plus one; refused the μop whose consult was refused
+	// last, until its report.
 	granted := map[uint64]uint64{}
+	portGrant := make([]uint64, len(p.portInflight))
+	var refused *sched.UOp
 	grant := p.issueCtx.Grant
 	p.issueCtx.Grant = func(u *sched.UOp) {
 		if u.D.IsStore() {
 			granted[u.Seq()] = p.cycle
 		}
+		portGrant[u.Port] = p.cycle + 1
 		grant(u)
 	}
 	regsReady := func(u *sched.UOp) bool { return p.rn.Ready(u.Src[0], p.cycle) && p.rn.Ready(u.Src[1], p.cycle) }
-	p.issueCtx.Waiting = func(u *sched.UOp) {
-		*skips++
-		if regsReady(u) && p.mdpResolved(u) {
-			bad(u, "skipped with both register sources ready and no store holding it")
+	p.issueCtx.Blocked = func(u *sched.UOp) {
+		wasRefused := refused == u
+		refused = nil
+		switch {
+		case u.SrcReady > p.cycle:
+			*skips++
+			if regsReady(u) && p.mdpResolved(u) {
+				bad(u, "passed over with both register sources ready and no store holding it")
+			}
+		case !wasRefused && portGrant[u.Port] != p.cycle+1:
+			bad(u, fmt.Sprintf("passed over with SrcReady %d, port %d free and no refused consult", u.SrcReady, u.Port))
 		}
 	}
 	ready := p.issueCtx.Ready
@@ -60,7 +76,11 @@ func CheckWakeups(p *Pipeline, bad func(u *sched.UOp, why string)) (skips, consu
 		if max(u.SrcReady, u.DispatchCycle) != max(want, u.DispatchCycle) {
 			bad(u, fmt.Sprintf("consulted with SrcReady %d, scoreboard and SQ %d", u.SrcReady, want))
 		}
-		return ready(u)
+		ok := ready(u)
+		if refused = nil; !ok {
+			refused = u
+		}
+		return ok
 	}
 	return skips, consults
 }

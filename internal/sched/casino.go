@@ -97,9 +97,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 		}
 		examined++
 		if portUsed.Used(u.Port) {
-			if ctx.PortBlocked != nil {
-				ctx.PortBlocked(u)
-			}
+			ctx.PassOver(u)
 			s.blocked++
 			return container.Stop // in-order: the head blocks everything younger
 		}
@@ -137,9 +135,7 @@ func (s *CASINO) Issue(cycle uint64, ctx *IssueCtx) {
 			if granted >= s.width {
 				// all issue ports consumed; fall through to pass
 			} else if portUsed.Used(u.Port) {
-				if ctx.PortBlocked != nil {
-					ctx.PortBlocked(u)
-				}
+				ctx.PassOver(u)
 			} else if ctx.CanIssue(u) {
 				issue = true
 			}

@@ -198,9 +198,7 @@ func (s *CES) Issue(cycle uint64, ctx *IssueCtx) {
 		}
 		u := q.Head()
 		if portUsed.Used(u.Port) {
-			if ctx.PortBlocked != nil {
-				ctx.PortBlocked(u)
-			}
+			ctx.PassOver(u)
 			s.idle.dep++
 			continue
 		}

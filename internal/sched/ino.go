@@ -58,14 +58,12 @@ func (s *InO) Issue(cycle uint64, ctx *IssueCtx) {
 		if granted >= s.width {
 			return container.Stop
 		}
-		if !ctx.CanIssue(u) {
+		if portUsed.Used(u.Port) {
+			ctx.PassOver(u)
 			s.blocked = true
 			return container.Stop
 		}
-		if portUsed.Used(u.Port) {
-			if ctx.PortBlocked != nil {
-				ctx.PortBlocked(u)
-			}
+		if !ctx.CanIssue(u) {
 			s.blocked = true
 			return container.Stop
 		}

@@ -15,8 +15,9 @@ import (
 // and ports, and flushes at random seqs, and holds every issue to a
 // reference select: sort the residents by seq, then walk them granting the
 // first ready μop per free port until width. The walk's whole log — ready
-// consults, port-blocked reports and grants, in order — must match, since
-// the pipeline's Ready and PortBlocked callbacks have side effects.
+// consults, reports of μops passed over (a taken port, or a refused
+// consult) and grants, in order — must match, since the pipeline's Ready
+// and Blocked callbacks have side effects.
 func TestOoOOldestFirstDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -59,7 +60,7 @@ func TestOoOOldestFirstDifferential(t *testing.T) {
 					Grant: func(u *UOp) { got = append(got, fmt.Sprintf("grant %d", u.Seq())) },
 				}
 				if withBlame {
-					ctx.PortBlocked = func(u *UOp) { got = append(got, fmt.Sprintf("blocked %d", u.Seq())) }
+					ctx.Blocked = func(u *UOp) { got = append(got, fmt.Sprintf("blocked %d", u.Seq())) }
 				}
 				s.Issue(uint64(op), ctx)
 
@@ -78,6 +79,9 @@ func TestOoOOldestFirstDifferential(t *testing.T) {
 					default:
 						want = append(want, fmt.Sprintf("ready %d", u.Seq()))
 						if !ready[u] {
+							if withBlame {
+								want = append(want, fmt.Sprintf("blocked %d", u.Seq()))
+							}
 							break
 						}
 						want = append(want, fmt.Sprintf("grant %d", u.Seq()))

@@ -140,43 +140,44 @@ func (e *EnergyEvents) Add(other EnergyEvents) {
 }
 
 // IssueCtx is the per-cycle issue interface the pipeline hands to the
-// scheduler. CanIssue (or Ready, for a μop whose SrcReady has come) must
-// be consulted before Grant; Grant issues the μop.
+// scheduler. Select grants each μop it examines or passes it over, and it
+// consults Ready only for a μop whose SrcReady has come and whose issue
+// port is free; Grant issues a μop Ready accepted.
 type IssueCtx struct {
 	// Now is the cycle being issued.
 	Now uint64
 	// Ready is the readiness consult: whether u can issue this cycle.
-	// Schedulers consult it only once u's SrcReady has come, so only a
+	// Every producer wait is over and u's port is free by then, so only a
 	// busy non-pipelined functional unit can refuse it.
 	Ready func(u *UOp) bool
 	// Grant issues u this cycle. The scheduler must respect one grant per
 	// issue port per cycle.
 	Grant func(u *UOp)
-	// PortBlocked, when non-nil, reports that the scheduler skipped u
-	// because its issue port was already granted this cycle. It is only
-	// set while the pipeline's topdown cycle accounting is attached —
-	// schedulers must nil-check it — and it classifies the lost slot
-	// (FU contention when u's SrcReady has come) for the CPI stack.
-	PortBlocked func(u *UOp)
-	// Waiting, when non-nil, reports that the scheduler skipped u without
-	// a consult because a register source or its predicted store is not
-	// ready yet (SrcReady after Now). Like PortBlocked it is set only
-	// while topdown accounting is attached, and it blames the lost slot on
-	// the wait that holds u.
-	Waiting func(u *UOp)
+	// Blocked, when non-nil, reports a μop select passed over: its issue
+	// port was already granted this cycle, a producer wait holds it
+	// (SrcReady after Now), or Ready refused it. It is set while the
+	// pipeline's top-down accounting is attached, which blames the lost
+	// slot by u's SrcReady; schedulers report through PassOver.
+	Blocked func(u *UOp)
 }
 
-// CanIssue reports whether u can issue this cycle: false without a
-// consult while a producer wait holds u (reported through Waiting), else
-// the Ready consult.
+// CanIssue reports whether u, whose issue port is free, can issue this
+// cycle: false without a consult while a producer wait holds u, else the
+// Ready consult. A μop it refuses is passed over (see PassOver).
 func (c *IssueCtx) CanIssue(u *UOp) bool {
-	if u.SrcReady > c.Now {
-		if c.Waiting != nil {
-			c.Waiting(u)
-		}
-		return false
+	if u.SrcReady <= c.Now && c.Ready(u) {
+		return true
 	}
-	return c.Ready(u)
+	c.PassOver(u)
+	return false
+}
+
+// PassOver reports u, which select examined and did not grant, through
+// Blocked when it is set.
+func (c *IssueCtx) PassOver(u *UOp) {
+	if c.Blocked != nil {
+		c.Blocked(u)
+	}
 }
 
 // Scheduler is the issue-queue organisation under evaluation. The

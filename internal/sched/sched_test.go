@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -30,6 +31,50 @@ func ctx(readyFn func(*UOp) bool, granted *[]*UOp) *IssueCtx {
 
 func always(*UOp) bool { return true }
 func never(*UOp) bool  { return false }
+
+// TestCanIssue pins the issue context's contract: a μop a producer wait
+// holds is passed over without a consult, a refused one after exactly one
+// consult, and an accepted one is consulted once and not reported.
+func TestCanIssue(t *testing.T) {
+	cases := []struct {
+		name     string
+		srcReady uint64
+		ready    bool
+		want     bool
+		log      []string
+	}{
+		{"held", 11, true, false, []string{"blocked"}},
+		{"refused", 10, false, false, []string{"ready", "blocked"}},
+		{"accepted", 9, true, true, []string{"ready"}},
+	}
+	for _, tc := range cases {
+		for _, report := range []bool{true, false} {
+			u := mkUOp(1, isa.OpIntDiv, 2)
+			u.SrcReady = tc.srcReady
+			var log []string
+			c := &IssueCtx{
+				Now: 10,
+				Ready: func(*UOp) bool {
+					log = append(log, "ready")
+					return tc.ready
+				},
+			}
+			if report {
+				c.Blocked = func(*UOp) { log = append(log, "blocked") }
+			}
+			if got := c.CanIssue(u); got != tc.want {
+				t.Errorf("%s: CanIssue = %v, want %v", tc.name, got, tc.want)
+			}
+			want := tc.log
+			if !report {
+				want = slices.DeleteFunc(slices.Clone(want), func(s string) bool { return s == "blocked" })
+			}
+			if !slices.Equal(log, want) {
+				t.Errorf("%s (Blocked set: %v): log %v, want %v", tc.name, report, log, want)
+			}
+		}
+	}
+}
 
 func TestInOCapacityAndFIFO(t *testing.T) {
 	s := NewInO(4, 8)

@@ -20,12 +20,11 @@ func checkConservation(t *testing.T, e *Engine) {
 
 func TestNilEngineIsSafe(t *testing.T) {
 	var e *Engine
-	e.NoteGrant()
 	e.NoteMemBlock()
 	e.NoteDepBlock()
 	e.NoteFUBlock()
 	e.NoteDispatchStall(StallROB)
-	e.EndCycle(3, true, true)
+	e.EndCycle(1, 3, true, true)
 	if e.Width() != 0 || e.Cycles() != 0 || e.OverIssue() != 0 {
 		t.Fatalf("nil engine reports non-zero state")
 	}
@@ -54,13 +53,12 @@ func TestRepeatMatchesEndCycles(t *testing.T) {
 		} else {
 			e.NoteDepBlock()
 		}
-		e.EndCycle(4, false, false)
+		e.EndCycle(0, 4, false, false)
 	}
 	for _, k := range []uint64{1, 2, 5, 6} {
 		stepped, repeated := New(4), New(4)
 		for _, e := range []*Engine{stepped, repeated} {
-			e.NoteGrant()
-			e.EndCycle(4, false, false) // a busy cycle before the stretch
+			e.EndCycle(1, 4, false, false) // a busy cycle before the stretch
 			quiet(e, 0)
 			quiet(e, 1)
 		}
@@ -81,29 +79,26 @@ func TestRepeatMatchesEndCycles(t *testing.T) {
 func TestBaseAndIdleSplit(t *testing.T) {
 	e := New(4)
 	// Cycle 0: 3 grants, 1 idle slot, μops waiting in the window → DepWait.
-	e.NoteGrant()
-	e.NoteGrant()
-	e.NoteGrant()
-	e.EndCycle(5, false, false)
+	e.EndCycle(3, 5, false, false)
 	checkConservation(t, e)
 	c := e.Counts()
 	if c[Base] != 3 || c[DepWait] != 1 {
 		t.Fatalf("base=%d depwait=%d, want 3/1", c[Base], c[DepWait])
 	}
 	// Cycle 1: nothing granted, empty window, recovering → BranchRecovery.
-	e.EndCycle(0, true, false)
+	e.EndCycle(0, 0, true, false)
 	checkConservation(t, e)
 	if c := e.Counts(); c[BranchRecovery] != 4 {
 		t.Fatalf("branch_recovery=%d, want 4", c[BranchRecovery])
 	}
 	// Cycle 2: empty window, not recovering, dispatch queue full.
-	e.EndCycle(0, false, true)
+	e.EndCycle(0, 0, false, true)
 	checkConservation(t, e)
 	if c := e.Counts(); c[DispatchQFull] != 4 {
 		t.Fatalf("dispatch_q_full=%d, want 4", c[DispatchQFull])
 	}
 	// Cycle 3: nothing at all → Frontend.
-	e.EndCycle(0, false, false)
+	e.EndCycle(0, 0, false, false)
 	checkConservation(t, e)
 	if c := e.Counts(); c[Frontend] != 4 {
 		t.Fatalf("frontend=%d, want 4", c[Frontend])
@@ -117,7 +112,7 @@ func TestBlamePrecedence(t *testing.T) {
 	e.NoteDepBlock()
 	e.NoteFUBlock()
 	e.NoteDispatchStall(StallROB)
-	e.EndCycle(9, true, true)
+	e.EndCycle(0, 9, true, true)
 	if c := e.Counts(); c[Memory] != 2 {
 		t.Fatalf("memory=%d, want 2", c[Memory])
 	}
@@ -126,7 +121,7 @@ func TestBlamePrecedence(t *testing.T) {
 	e.NoteDepBlock()
 	e.NoteFUBlock()
 	e.NoteDispatchStall(StallIQ)
-	e.EndCycle(9, false, false)
+	e.EndCycle(0, 9, false, false)
 	if c := e.Counts(); c[DepWait] != 2 {
 		t.Fatalf("dep_wait=%d, want 2", c[DepWait])
 	}
@@ -134,14 +129,14 @@ func TestBlamePrecedence(t *testing.T) {
 	e = New(2)
 	e.NoteFUBlock()
 	e.NoteDispatchStall(StallLSQ)
-	e.EndCycle(0, false, false)
+	e.EndCycle(0, 0, false, false)
 	if c := e.Counts(); c[FUContention] != 2 {
 		t.Fatalf("fu_contention=%d, want 2", c[FUContention])
 	}
 	// Dispatch cause beats the occupancy fallback.
 	e = New(2)
 	e.NoteDispatchStall(StallLSQ)
-	e.EndCycle(7, false, false)
+	e.EndCycle(0, 7, false, false)
 	if c := e.Counts(); c[LSQFull] != 2 {
 		t.Fatalf("lsq_full=%d, want 2", c[LSQFull])
 	}
@@ -161,7 +156,7 @@ func TestDispatchCauseMapping(t *testing.T) {
 	for _, tc := range cases {
 		e := New(1)
 		e.NoteDispatchStall(tc.cause)
-		e.EndCycle(0, false, false)
+		e.EndCycle(0, 0, false, false)
 		if c := e.Counts(); c[tc.want] != 1 {
 			t.Errorf("cause %d: category %s = %d, want 1", tc.cause, tc.want, c[tc.want])
 		}
@@ -173,7 +168,7 @@ func TestFirstDispatchCauseWins(t *testing.T) {
 	e := New(1)
 	e.NoteDispatchStall(StallRename)
 	e.NoteDispatchStall(StallROB)
-	e.EndCycle(0, false, false)
+	e.EndCycle(0, 0, false, false)
 	if c := e.Counts(); c[RenameStall] != 1 {
 		t.Fatalf("rename_stall=%d, want 1 (first cause must win)", c[RenameStall])
 	}
@@ -181,10 +176,7 @@ func TestFirstDispatchCauseWins(t *testing.T) {
 
 func TestOverIssueClamped(t *testing.T) {
 	e := New(2)
-	for i := 0; i < 5; i++ {
-		e.NoteGrant() // e.g. FXA's IXU executing beyond the port budget
-	}
-	e.EndCycle(0, false, false)
+	e.EndCycle(5, 0, false, false) // e.g. FXA's IXU executing beyond the port budget
 	checkConservation(t, e)
 	c := e.Counts()
 	if c[Base] != 2 {
@@ -198,9 +190,9 @@ func TestOverIssueClamped(t *testing.T) {
 func TestScratchResetsBetweenCycles(t *testing.T) {
 	e := New(2)
 	e.NoteMemBlock()
-	e.EndCycle(1, false, false)
+	e.EndCycle(0, 1, false, false)
 	// The next cycle must not inherit the memory blame.
-	e.EndCycle(1, false, false)
+	e.EndCycle(0, 1, false, false)
 	c := e.Counts()
 	if c[Memory] != 2 || c[DepWait] != 2 {
 		t.Fatalf("memory=%d dep_wait=%d, want 2/2 (scratch leaked across cycles)", c[Memory], c[DepWait])
@@ -209,10 +201,8 @@ func TestScratchResetsBetweenCycles(t *testing.T) {
 
 func TestReport(t *testing.T) {
 	e := New(4)
-	e.NoteGrant()
-	e.NoteGrant()
-	e.EndCycle(3, false, false) // 2 base + 2 dep_wait
-	e.EndCycle(0, true, false)  // 4 branch_recovery
+	e.EndCycle(2, 3, false, false) // 2 base + 2 dep_wait
+	e.EndCycle(0, 0, true, false)  // 4 branch_recovery
 	r := e.Report(2)
 	if r.Width != 4 || r.Cycles != 2 || r.TotalSlots != 8 {
 		t.Fatalf("report header %+v", r)

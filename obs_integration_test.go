@@ -374,6 +374,27 @@ func TestManifestEngineCounters(t *testing.T) {
 		}
 	}
 
+	// Select consults only μops whose port is free and whose SrcReady has
+	// come, so on a compute kernel, where only the divider refuses a
+	// consult, the in-order heads and Ballerino's S-IQ window consult
+	// about once per μop.
+	compute := ballerino.Config{Workload: "compute", MaxOps: 30_000, Width: 8}
+	if compute.Trace, err = ballerino.PrepareTrace(context.Background(), compute); err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []string{"InO", "Ballerino"} {
+		cfg := compute
+		cfg.Arch = arch
+		res, err := ballerino.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s/compute: %v", arch, err)
+		}
+		if c := res.Manifest.Engine.Consults; 50*c > 51*res.Committed {
+			t.Errorf("%s/compute: %d readiness consults for %d committed μops (%.3f each), want at most 1.02 each",
+				arch, c, res.Committed, float64(c)/float64(res.Committed))
+		}
+	}
+
 	mixed := ballerino.Config{Workload: "mixed", MaxOps: 30_000, Width: 8}
 	if mixed.Trace, err = ballerino.PrepareTrace(context.Background(), mixed); err != nil {
 		t.Fatal(err)

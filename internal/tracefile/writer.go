@@ -55,7 +55,10 @@ func Encode(wr io.Writer, h Header, tr *prog.Trace) error {
 	w := bufio.NewWriterSize(wr, 1<<16)
 	w.WriteString(Magic)
 	frame(w, hb)
-	buf := appendProgram(nil, p)
+	// The image's addresses are sorted once, for the program chunk and the
+	// final-state chunk both.
+	image := sortedAddrs(p.InitMem)
+	buf := appendProgram(nil, p, image)
 	writeChunk(w, chunkProgram, buf)
 
 	digest, prevAddr := uint64(fnvOffset), uint64(0)
@@ -89,7 +92,12 @@ func Encode(wr io.Writer, h Header, tr *prog.Trace) error {
 		for _, v := range st.Regs {
 			buf = binary.AppendUvarint(buf, zigzag(v))
 		}
-		writeChunk(w, chunkFinal, appendMemImage(buf, st.Base, st.Mem))
+		// A final state's base is the program's image, or nil when an
+		// import kept every final word in Mem (prog.ArchState).
+		if len(st.Base) != len(p.InitMem) {
+			image = sortedAddrs(st.Base)
+		}
+		writeChunk(w, chunkFinal, appendMemImage(buf, image, st.Base, st.Mem))
 	}
 	buf = binary.AppendUvarint(buf[:0], uint64(len(tr.Ops)))
 	writeChunk(w, chunkEnd, binary.LittleEndian.AppendUint64(buf, digest))
@@ -111,8 +119,9 @@ func writeChunk(w *bufio.Writer, typ byte, payload []byte) {
 }
 
 // appendProgram encodes the static program: name, instructions, and the
-// initial register and memory images.
-func appendProgram(buf []byte, p *prog.Program) []byte {
+// initial register and memory images; image lists the memory image's
+// addresses in ascending order.
+func appendProgram(buf []byte, p *prog.Program, image []uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p.Name)))
 	buf = append(buf, p.Name...)
 	buf = binary.AppendUvarint(buf, uint64(len(p.Insts)))
@@ -139,33 +148,53 @@ func appendProgram(buf []byte, p *prog.Program) []byte {
 		buf = append(buf, byte(r))
 		buf = binary.AppendUvarint(buf, zigzag(p.InitReg[isa.Reg(r)]))
 	}
-	return appendMemImage(buf, p.InitMem, nil)
+	return appendMemImage(buf, image, p.InitMem, nil)
 }
 
-// appendMemImage encodes a sparse word memory — base overlaid by written,
-// which wins where both hold a word — as a count, then address-ascending
-// (delta-uvarint address, zigzag-varint value) pairs.
-func appendMemImage(buf []byte, base, written map[uint64]int64) []byte {
-	addrs := make([]uint64, 0, len(base)+len(written))
-	for a := range base {
-		addrs = append(addrs, a)
-	}
-	for a := range written {
+// appendMemImage encodes a sparse word memory — base, whose addresses
+// addrs lists in ascending order, overlaid by written, which wins where
+// both hold a word — as a count, then address-ascending (delta-uvarint
+// address, zigzag-varint value) pairs. It walks addrs in step with
+// written's sorted addresses, so only written's own words are looked up
+// in written.
+func appendMemImage(buf []byte, addrs []uint64, base, written map[uint64]int64) []byte {
+	over := sortedAddrs(written)
+	n := len(addrs)
+	for _, a := range over {
 		if _, ok := base[a]; !ok {
-			addrs = append(addrs, a)
+			n++
 		}
 	}
-	slices.Sort(addrs)
-	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
-	prev := uint64(0)
-	for _, a := range addrs {
-		v, ok := written[a]
-		if !ok {
-			v = base[a]
+	buf = binary.AppendUvarint(buf, uint64(n))
+	prev, i := uint64(0), 0
+	for _, a := range over {
+		for ; i < len(addrs) && addrs[i] < a; i++ {
+			buf, prev = appendWord(buf, prev, addrs[i], base[addrs[i]])
 		}
-		buf = binary.AppendUvarint(buf, a-prev)
-		buf = binary.AppendUvarint(buf, zigzag(v))
-		prev = a
+		if i < len(addrs) && addrs[i] == a {
+			i++
+		}
+		buf, prev = appendWord(buf, prev, a, written[a])
+	}
+	for ; i < len(addrs); i++ {
+		buf, prev = appendWord(buf, prev, addrs[i], base[addrs[i]])
 	}
 	return buf
+}
+
+// sortedAddrs returns m's addresses in ascending order.
+func sortedAddrs(m map[uint64]int64) []uint64 {
+	addrs := make([]uint64, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return addrs
+}
+
+// appendWord encodes one memory word at address a, after the word at
+// prev, and returns a as the next word's prev.
+func appendWord(buf []byte, prev, a uint64, v int64) ([]byte, uint64) {
+	buf = binary.AppendUvarint(buf, a-prev)
+	return binary.AppendUvarint(buf, zigzag(v)), a
 }
